@@ -215,12 +215,12 @@ let run () =
         ~n:(g / 2) ()
     in
     let sp = Nufft.Plan.compiled plan samples in
-    (* Replay through [spread_into] on a reused workspace grid: the
-       steady state of a CG loop or warm service, and the path whose
-       per-call cost is pure kernel (zero-fill + accumulate) rather
-       than bigarray allocation. *)
+    (* Pool-less replay into a reused workspace grid: the steady state
+       of a CG loop or warm service, and the path whose per-call cost is
+       pure kernel (zero-fill + accumulate) rather than bigarray
+       allocation. *)
     let work = Cvec.create (Nufft.Sample_plan.grid_length sp) in
-    let f () = Nufft.Sample_plan.spread_into sp values work in
+    let f () = Nufft.Sample_plan.spread_parallel_into sp values work in
     (* SIMD replay: same compiled stream through the dispatched C spread
        kernel. The 1.5x floor applies only when a vector implementation
        is live — scalar C vs the OCaml loop is a wash by design, and
@@ -229,7 +229,9 @@ let run () =
        compares each loop's best showing rather than trusting two
        back-to-back windows on a possibly frequency-drifting host. *)
     let impl = Simd.active () in
-    let fs () = Nufft.Sample_plan.spread_into ~simd:true sp values work in
+    let fs () =
+      Nufft.Sample_plan.spread_parallel_into ~simd:true sp values work
+    in
     let sps = ref 0.0 and words = ref 0.0 in
     let ssps = ref 0.0 and swords = ref 0.0 in
     for _ = 1 to 3 do

@@ -349,13 +349,12 @@ let of_plan ?name ?(compile = true) ?(transform = Transform.Type1) ?targets
     let stats () = st
   end : NUFFT_OP)
 
-(* CPU backends: one registry entry per gridding engine. The 3D adjoint
-   grids with the (pool-)sliced Gridding3d schedule whatever the 2D engine,
-   so in 3D the names differ only in the plan they carry. *)
-
-let cpu_backend ?(simd = false) name engine_of : factory =
- fun c ->
-  let engine = engine_of ~g:(ctx_grid c) ~w:c.w in
+(* The ctx's plan with the given engine, wrapped by [of_plan]. [compile]
+   (default [true]) replays the compiled sample plan, which is the same
+   scalar replay program whatever the engine; [~compile:false] runs the
+   engine itself on every application. *)
+let of_engine ?name ?compile ?(simd = false) engine c =
+  let name = Option.value name ~default:(Gridding.engine_name engine) in
   let plan =
     match c.tol with
     | Some t ->
@@ -368,39 +367,26 @@ let cpu_backend ?(simd = false) name engine_of : factory =
         Plan.make ~kernel:c.kernel ~w:c.w ~sigma:c.sigma ~l:c.l ~engine
           ?pool:c.pool ~simd ~n:c.n ()
   in
-  of_plan ~name ~transform:c.transform ?targets:c.targets plan ~coords:c.coords
+  of_plan ~name ?compile ~transform:c.transform ?targets:c.targets plan
+    ~coords:c.coords
+
+(* CPU backends: the scalar serial reference and the production engine,
+   compiled replay through the runtime-dispatched SIMD kernels (scalar
+   when the host has no vector unit or JIGSAW_SIMD=off|scalar). Both
+   replay the same compiled sample plan, region-sharded when the context
+   carries a pool. Separate names keep their plan-cache keys apart. *)
+
+let auto_backend = "replay-simd"
+let resolve_backend = function "auto" -> auto_backend | name -> name
 
 let () =
-  List.iter
-    (fun (name, doc, engine_of) ->
-      register ~transforms:Transform.all ~doc name (cpu_backend name engine_of))
-    [ ( "serial",
-        "input-driven double-precision CPU reference (MIRT-class)",
-        fun ~g:_ ~w:_ -> Gridding.Serial );
-      ( "output-parallel",
-        "naive output-driven model, M*G^d boundary checks",
-        fun ~g:_ ~w:_ -> Gridding.Output_parallel );
-      ( "binned",
-        "Impatient-class presorted geometric bins",
-        fun ~g ~w -> Gridding.Binned (Coord.fallback_tile ~g ~w) );
-      ( "slice",
-        "Slice-and-Dice, sample-outer CPU schedule (bit-identical to serial)",
-        fun ~g ~w -> Gridding.Slice_and_dice (Coord.fallback_tile ~g ~w) );
-      ( "slice-parallel",
-        "Slice-and-Dice column-outer schedule on the domain pool",
-        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) );
-      ( "replay-parallel",
-        "compiled-plan replay sharded across domains by grid-region \
-         ownership (bit-identical to serial; serial without a pool)",
-        fun ~g:_ ~w:_ -> Gridding.Serial ) ];
-  (* Same replay pipeline with the plan's SIMD flag set: spread/gather run
-     through the runtime-dispatched C kernels (scalar when the host has no
-     vector unit or JIGSAW_SIMD=off|scalar). Registered separately so the
-     conformance suite exercises the SIMD path against every reference,
-     and so plan-cache keys (by backend name) never mix the two. *)
+  register ~transforms:Transform.all
+    ~doc:"input-driven double-precision CPU reference (MIRT-class)" "serial"
+    (of_engine Gridding.Serial);
   register ~transforms:Transform.all
     ~doc:
-      "compiled-plan replay through the runtime-dispatched SIMD kernels \
-       (4-ULP contract vs serial; honours JIGSAW_SIMD)"
-    "replay-simd"
-    (cpu_backend ~simd:true "replay-simd" (fun ~g:_ ~w:_ -> Gridding.Serial))
+      "production engine (auto): compiled-plan replay through the \
+       runtime-dispatched SIMD kernels (4-ULP contract vs serial; honours \
+       JIGSAW_SIMD)"
+    auto_backend
+    (fun c -> of_engine ~name:auto_backend ~simd:true Gridding.Serial c)

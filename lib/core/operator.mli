@@ -14,7 +14,11 @@
     grid to an image; [forward] evaluates an image's spectrum at the bound
     coordinates and returns them as a sample set.
 
-    The five CPU gridding engines self-register here at library load.
+    Two CPU backends self-register here at library load: ["serial"], the
+    scalar reference, and ["replay-simd"], the production engine that
+    [backend = "auto"] resolves to ({!auto_backend}). The paper's other
+    gridding engines are not registry entries; {!of_engine} drives them
+    directly as reproduction subjects and oracles.
     Hardware-model backends live in their own libraries to keep the
     dependency graph acyclic — call [Jigsaw.Operator_backend.register ()]
     and [Gpusim.Operator_backend.register ()] to add them. *)
@@ -215,6 +219,16 @@ val create : string -> ctx -> op
     outside the backend's declared {!entry.transforms} (the message names
     the supported set). *)
 
+val auto_backend : string
+(** ["replay-simd"]: the one production CPU engine, compiled replay
+    through the runtime-dispatched SIMD kernels (scalar when no vector ISA
+    is live or [JIGSAW_SIMD=off]). The static rule behind
+    [backend = "auto"] everywhere (service, CLI, {!Tuner.resolve}). *)
+
+val resolve_backend : string -> string
+(** ["auto"] becomes {!auto_backend}; every other name is returned
+    unchanged. *)
+
 (** {2 Helpers} *)
 
 val name_of : op -> string
@@ -277,3 +291,15 @@ val of_plan :
     back as angular frequencies and whose targets are [targets] (default:
     {!lattice_targets}); preparation is eager, so geometry errors surface
     here rather than at first application. *)
+
+val of_engine :
+  ?name:string -> ?compile:bool -> ?simd:bool -> Gridding.engine -> ctx -> op
+(** [of_engine engine ctx] builds [ctx]'s plan ({!Plan.make} with the
+    context's geometry, pool and tolerance) on [engine] and wraps it with
+    {!of_plan}. [name] defaults to {!Gridding.engine_name}. Both registry
+    entries are built this way. With [~compile:false] it runs one of the
+    paper's engines (output-parallel, binned, slice-and-dice,
+    slice-parallel) on every application — the way figure benches,
+    conformance tests and independent validation reach them. The
+    uncompiled 3D adjoint grids with the {!Gridding3d} schedule whatever
+    the engine. *)

@@ -188,23 +188,6 @@ let replay_spread ~simd t values out =
     done
   end
 
-let spread ?stats ?(simd = false) t values =
-  if Cvec.length values <> t.m then
-    invalid_arg "Sample_plan.spread: values length mismatch";
-  let out = Cvec.create (grid_length t) in
-  replay_spread ~simd t values out;
-  add_stats stats ~samples:t.m ~checks:0 ~evals:0 ~accums:(t.m * t.points);
-  out
-
-let spread_into ?stats ?(simd = false) t values out =
-  if Cvec.length values <> t.m then
-    invalid_arg "Sample_plan.spread_into: values length mismatch";
-  if Cvec.length out <> grid_length t then
-    invalid_arg "Sample_plan.spread_into: grid size mismatch";
-  Cvec.fill_zero out;
-  replay_spread ~simd t values out;
-  add_stats stats ~samples:t.m ~checks:0 ~evals:0 ~accums:(t.m * t.points)
-
 let gather_range ~simd t grid out ~lo ~hi =
   if use_simd simd then Simd.gather grid t.idx t.wgt out lo hi
   else begin
@@ -222,14 +205,6 @@ let gather_range ~simd t grid out ~lo ~hi =
       set_parts out j !acc_re !acc_im
     done
   end
-
-let gather ?stats ?(simd = false) t grid =
-  if Cvec.length grid <> grid_length t then
-    invalid_arg "Sample_plan.gather: grid size mismatch";
-  let out = Cvec.create t.m in
-  gather_range ~simd t grid out ~lo:0 ~hi:t.m;
-  add_stats stats ~samples:t.m ~checks:0 ~evals:0 ~accums:0;
-  out
 
 (* ------------------------------------------------------------------ *)
 (* Region-sharded ownership partition.

@@ -3,9 +3,10 @@
     A compiled plan is the fixed part of gridding a particular trajectory —
     for every sample, the flattened grid indices of its [w^dims]
     interpolation-window points and the finished scalar weight at each —
-    precomputed into two flat arrays. {!spread} and {!gather} then replay
-    those arrays with a pure streaming multiply-accumulate loop: no
-    boundary checks, no window evaluation, no tile arithmetic.
+    precomputed into two flat arrays. {!spread_parallel} and
+    {!gather_parallel} then replay those arrays with a pure streaming
+    multiply-accumulate loop: no boundary checks, no window evaluation,
+    no tile arithmetic.
 
     Iterative reconstruction (CG, Toeplitz kernel construction) applies the
     same operator on the same coordinates tens of times; compiling once and
@@ -34,7 +35,7 @@ val points_per_sample : t -> int
 (** [w^dims]: window points recorded per sample. *)
 
 val grid_length : t -> int
-(** [g^dims]: flattened length of the grid {!spread} produces. *)
+(** [g^dims]: flattened length of the grid {!spread_parallel} produces. *)
 
 val memory_words : t -> int
 (** Approximate footprint of the compiled arrays, in words. *)
@@ -64,45 +65,6 @@ val compile_3d :
   unit ->
   t
 
-val spread :
-  ?stats:Gridding_stats.t ->
-  ?simd:bool ->
-  t ->
-  Numerics.Cvec.t ->
-  Numerics.Cvec.t
-(** [spread t values] grids [values] (length {!length}) onto a fresh
-    [g^dims] grid by replaying the compiled arrays. Bit-identical to
-    {!Gridding_serial} on the same inputs.
-
-    [simd] (default [false]) replays through the {!Simd} C kernel when
-    SIMD dispatch is active; the kernel preserves the scalar op order, so
-    the result stays bit-identical on this path (documented contract:
-    4 ULP). The flag is a no-op when [Simd.enabled ()] is false. *)
-
-val spread_into :
-  ?stats:Gridding_stats.t ->
-  ?simd:bool ->
-  t ->
-  Numerics.Cvec.t ->
-  Numerics.Cvec.t ->
-  unit
-(** [spread_into t values out] — {!spread} into a caller-provided [g^dims]
-    buffer ([out] is zeroed first), so a serving loop can reuse one pooled
-    oversampled grid across requests instead of allocating per transform.
-    Bitwise the same result as {!spread}. *)
-
-val gather :
-  ?stats:Gridding_stats.t ->
-  ?simd:bool ->
-  t ->
-  Numerics.Cvec.t ->
-  Numerics.Cvec.t
-(** [gather t grid] interpolates the [g^dims] grid at the compiled sample
-    locations (the forward-transform regridding step); adjoint of
-    {!spread} by construction, since both replay the same weights.
-    [simd] as in {!spread} (per-sample accumulation order preserved;
-    4-ULP contract). *)
-
 (** {1 Region-sharded parallel replay}
 
     Adjoint replay is a scatter, so sample-range sharding would race on
@@ -113,8 +75,8 @@ val gather :
     per-row histogram. Each shard holds exactly the plan entries landing
     in its band, in plan (sample, window-point) order; every grid cell
     has one exclusive writer and receives its contributions in serial
-    order, so parallel replay is bit-identical to {!spread} for every
-    shard count — no atomics, no privatized grids to merge.
+    order, so parallel replay is bit-identical to pool-less replay for
+    every shard count — no atomics, no privatized grids to merge.
 
     The partition is built once per (plan, shard count) and cached inside
     the plan under a mutex, so repeated parallel replays (CG iterations,
@@ -158,13 +120,19 @@ val spread_parallel :
   t ->
   Numerics.Cvec.t ->
   Numerics.Cvec.t
-(** [spread_parallel ?pool t values] — {!spread} with the shards of the
-    cached partition replayed across [pool]'s domains. Bit-identical to
-    {!spread} for every pool size. Without a pool (or with a pool of
-    size 1, or a shut-down pool) replays serially without building a
-    partition. [simd] replays each shard's entry stream through the
-    {!Simd.spread_shard} kernel (strictly sequential per entry, so the
-    single-writer bit-identity argument is untouched). *)
+(** [spread_parallel ?pool t values] grids [values] (length {!length})
+    onto a fresh [g^dims] grid by replaying the compiled arrays.
+    Bit-identical to {!Gridding_serial} on the same inputs.
+
+    Without a pool (or with a pool of size 1, or a shut-down pool) the
+    whole entry stream replays on the caller's domain, without building
+    a partition. With a parallel pool the shards of the cached partition
+    replay across its domains, bit-identically for every pool size.
+
+    [simd] (default [false]) replays through the {!Simd} C kernels
+    ({!Simd.spread}, or {!Simd.spread_shard} per shard) when SIMD
+    dispatch is active; they preserve the scalar op order (documented
+    contract: 4 ULP) and are a no-op when [Simd.enabled ()] is false. *)
 
 val spread_parallel_into :
   ?stats:Gridding_stats.t ->
@@ -174,8 +142,9 @@ val spread_parallel_into :
   Numerics.Cvec.t ->
   Numerics.Cvec.t ->
   unit
-(** {!spread_parallel} into a caller-provided buffer (zeroed first), the
-    parallel analogue of {!spread_into}. *)
+(** {!spread_parallel} into a caller-provided [g^dims] buffer ([out] is
+    zeroed first), so a serving loop can reuse one pooled oversampled
+    grid across requests instead of allocating per transform. *)
 
 val gather_parallel :
   ?stats:Gridding_stats.t ->
@@ -184,7 +153,11 @@ val gather_parallel :
   t ->
   Numerics.Cvec.t ->
   Numerics.Cvec.t
-(** [gather_parallel ?pool t grid] — {!gather} with the sample range
-    chunked across [pool] ({!Runtime.Pool.adaptive_chunk} granularity).
-    Each sample owns its output slot, so this is race-free and
-    bit-identical to {!gather} by construction. *)
+(** [gather_parallel ?pool t grid] interpolates the [g^dims] grid at the
+    compiled sample locations (the forward-transform regridding step);
+    adjoint of {!spread_parallel} by construction, since both replay the
+    same weights. With a parallel pool the sample range is chunked
+    across it ({!Runtime.Pool.adaptive_chunk} granularity); each sample
+    owns its output slot, so this is race-free and bit-identical to the
+    pool-less replay. [simd] as in {!spread_parallel} (per-sample
+    accumulation order preserved; 4-ULP contract). *)

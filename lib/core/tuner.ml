@@ -1,180 +1,4 @@
-let c_trial = Telemetry.Counter.make "tuner.trial"
-let c_hit = Telemetry.Counter.make "tuner.hit"
+let resolve ?pool:_ ?tol:_ ?family:_ ~default:_ ~n:_ ~coords:_ () =
+  Operator.auto_backend
 
-type mode = Off | Auto | Forced of string
-
-let mode () =
-  match Sys.getenv_opt "JIGSAW_TUNE" with
-  | None -> Auto
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "" | "auto" -> Auto
-      | "off" | "0" | "false" -> Off
-      | engine -> Forced engine)
-
-let mode_name () =
-  match mode () with Off -> "off" | Auto -> "auto" | Forced e -> e
-
-type key = {
-  dims : int;
-  n : int;
-  tol_bucket : int;
-  m_bucket : int;
-  domains : int;
-}
-
-(* log2 bucket: 0 for m <= 1, 10 for m in [1024, 2048), ... — one trial
-   per power-of-two band of trajectory size. *)
-let rec bits v = if v <= 1 then 0 else 1 + bits (v / 2)
-
-let key_of ~dims ~n ~tol ~m ~domains =
-  let tol_bucket =
-    match tol with
-    | None -> 0
-    | Some t when t > 0.0 -> int_of_float (Float.round (Float.log10 t))
-    | Some _ -> 0
-  in
-  { dims; n; tol_bucket; m_bucket = bits m; domains }
-
-type trial = { engine : string; samples_per_sec : float }
-type choice = { backend : string; sps : float; trials : trial list }
-
-let table : (key, choice) Hashtbl.t = Hashtbl.create 16
-let lock = Mutex.create ()
-
-let reset () =
-  Mutex.lock lock;
-  Hashtbl.reset table;
-  Mutex.unlock lock
-
-let cached () =
-  Mutex.lock lock;
-  let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-  Mutex.unlock lock;
-  l
-
-let size () = List.length (cached ())
-
-let pool_domains = function
-  | None -> 0
-  | Some p -> if Runtime.Pool.size p > 1 then Runtime.Pool.size p else 0
-
-let candidate_names ?pool () =
-  let parallel = pool_domains pool > 1 in
-  List.concat
-    [ [ "serial"; "slice" ];
-      (if parallel then [ "slice-parallel"; "replay-parallel" ] else []);
-      (if Simd.enabled () then [ "replay-simd" ] else []) ]
-
-let now () = Unix.gettimeofday ()
-
-(* One spread per candidate per round, interleaved, best-of over the
-   timed rounds (cuFINUFFT's trial structure): interleaving decorrelates
-   the measurements from cache warmth and allocator state, best-of
-   discards GC hiccups. The candidates measure the strategies the
-   like-named registry backends execute — direct serial gridding, the
-   column-outer parallel schedule, and serial / region-sharded / SIMD
-   compiled replay — over the request's actual coordinates. *)
-let run_trials ?pool ?tol ?family ~n ~(coords : Sample.t) () =
-  let dims = Sample.dims coords in
-  let g = coords.Sample.g in
-  let m = Sample.length coords in
-  let sigma = float_of_int g /. float_of_int n in
-  let base = Plan.make ?tol ?family ~sigma ~n () in
-  let table_ = base.Plan.table and w = base.Plan.w in
-  let gx = Sample.gx coords and gy = Sample.gy coords in
-  let gz = if dims = 3 then Sample.gz coords else [||] in
-  let values = coords.Sample.values in
-  let tile = Coord.fallback_tile ~g ~w in
-  let splan =
-    match dims with
-    | 2 -> Sample_plan.compile_2d ~table:table_ ~g ~gx ~gy ()
-    | _ -> Sample_plan.compile_3d ~table:table_ ~g ~gx ~gy ~gz ()
-  in
-  let direct engine () =
-    ignore
-      (match dims with
-      | 2 -> Gridding.grid_2d ?pool engine ~table:table_ ~g ~gx ~gy values
-      | _ -> (
-          match (engine, pool) with
-          | Gridding.Slice_parallel _, Some pool ->
-              Gridding3d.grid_3d_parallel ~pool ~table:table_ ~g ~gx ~gy ~gz
-                values
-          | _ -> Gridding3d.grid_3d ~table:table_ ~g ~gx ~gy ~gz values))
-  in
-  let candidates =
-    List.filter_map
-      (fun name ->
-        match name with
-        | "serial" -> Some (name, direct Gridding.Serial)
-        | "slice" -> Some (name, fun () -> ignore (Sample_plan.spread splan values))
-        | "slice-parallel" ->
-            Some (name, direct (Gridding.Slice_parallel tile))
-        | "replay-parallel" ->
-            Some
-              (name, fun () -> ignore (Sample_plan.spread_parallel ?pool splan values))
-        | "replay-simd" ->
-            Some (name, fun () -> ignore (Sample_plan.spread ~simd:true splan values))
-        | _ -> None)
-      (candidate_names ?pool ())
-  in
-  (* Warmup round: first-touch page faults, partition building. *)
-  List.iter (fun (_, run) -> run ()) candidates;
-  let rounds = 2 in
-  let best = Hashtbl.create 8 in
-  for _ = 1 to rounds do
-    List.iter
-      (fun (name, run) ->
-        let t0 = now () in
-        run ();
-        let dt = now () -. t0 in
-        Telemetry.Counter.incr c_trial;
-        match Hashtbl.find_opt best name with
-        | Some prev when prev <= dt -> ()
-        | _ -> Hashtbl.replace best name dt)
-      candidates
-  done;
-  let trials =
-    List.map
-      (fun (name, _) ->
-        let dt = Float.max (Hashtbl.find best name) 1e-9 in
-        { engine = name; samples_per_sec = float_of_int m /. dt })
-      candidates
-  in
-  let winner =
-    List.fold_left
-      (fun acc t ->
-        match acc with
-        | Some b when b.samples_per_sec >= t.samples_per_sec -> acc
-        | _ -> Some t)
-      None trials
-  in
-  match winner with
-  | Some w -> { backend = w.engine; sps = w.samples_per_sec; trials }
-  | None -> { backend = "serial"; sps = 0.0; trials = [] }
-
-let choose ?pool ?tol ?family ~n ~coords () =
-  let key =
-    key_of ~dims:(Sample.dims coords) ~n ~tol ~m:(Sample.length coords)
-      ~domains:(pool_domains pool)
-  in
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      match Hashtbl.find_opt table key with
-      | Some c ->
-          Telemetry.Counter.incr c_hit;
-          c
-      | None ->
-          let sp = Telemetry.span_begin ~cat:"tuner" "tuner.trials" in
-          let c = run_trials ?pool ?tol ?family ~n ~coords () in
-          Telemetry.span_end sp;
-          Hashtbl.replace table key c;
-          c)
-
-let resolve ?pool ?tol ?family ~default ~n ~coords () =
-  match mode () with
-  | Off -> default
-  | Forced engine -> engine
-  | Auto -> (choose ?pool ?tol ?family ~n ~coords ()).backend
+let reset () = ()

@@ -1,72 +1,8 @@
-(** Backend auto-tuner (cuFINUFFT's "heuristic method selection", done
-    empirically): on first sight of a problem-shape key, run short
-    interleaved trials of every candidate spreading strategy over the
-    request's actual coordinates and cache the winner in a process-wide
-    table. Later requests with the same shape reuse the cached choice at
-    zero cost.
-
-    The candidate names are registry backend names ({!Operator.names}):
-    ["serial"] and ["slice-parallel"] run the direct gridding engines,
-    ["slice"] / ["replay-parallel"] / ["replay-simd"] the compiled-replay
-    path (serial, region-sharded, SIMD). Parallel candidates are only
-    trialled when a pool with at least two domains is supplied; the SIMD
-    candidate only when {!Simd.enabled}.
-
-    Controlled by the [JIGSAW_TUNE] environment variable, re-read on
-    every call so tests and operators can flip it at runtime:
-    ["off"] disables tuning ({!resolve} returns its [~default] untouched
-    — bit-identical behaviour to a build without the tuner), ["auto"]
-    (or unset) enables it, and any other value forces that backend name
-    unconditionally. Telemetry: [tuner.trial] counts timed candidate
-    runs, [tuner.hit] cache hits. *)
-
-type mode = Off | Auto | Forced of string
-
-val mode : unit -> mode
-(** Parse [JIGSAW_TUNE] (current process environment, every call). *)
-
-val mode_name : unit -> string
-(** ["off"], ["auto"], or the forced backend name. *)
-
-(** Cache key: problems that share a key share a winner. [tol_bucket] is
-    [round (log10 tol)] (0 when no tolerance was requested), [m_bucket]
-    the power-of-two band of the trajectory size ([floor (log2 m)]), and
-    [domains] the pool size (0 when serial) — so a 2x change in sample
-    count or a different worker count re-tunes, but jitter within a band
-    does not. *)
-type key = {
-  dims : int;
-  n : int;
-  tol_bucket : int;
-  m_bucket : int;
-  domains : int;
-}
-
-val key_of :
-  dims:int -> n:int -> tol:float option -> m:int -> domains:int -> key
-
-type trial = { engine : string; samples_per_sec : float }
-
-type choice = {
-  backend : string;  (** winning registry backend name *)
-  sps : float;  (** its measured samples/second *)
-  trials : trial list;  (** every candidate's measurement, for reporting *)
-}
-
-val candidate_names : ?pool:Runtime.Pool.t -> unit -> string list
-(** The candidates a trial run with this pool would measure. *)
-
-val choose :
-  ?pool:Runtime.Pool.t ->
-  ?tol:float ->
-  ?family:Numerics.Window.family ->
-  n:int ->
-  coords:Sample.t ->
-  unit ->
-  choice
-(** Cached winner for the problem shape of [coords] (its [g] must equal
-    [round (sigma * n)] for the sigma implied by [g / n]); runs the
-    trials under the cache lock on a miss. Ignores [JIGSAW_TUNE]. *)
+(** Backend choice for [backend = "auto"]: a fixed rule, not a runtime
+    race. Every request resolves to {!Operator.auto_backend}
+    (["replay-simd"]), as cuFINUFFT ships a fixed default method per
+    dimension. Kept as a module because the request-path benchmark calls
+    it. *)
 
 val resolve :
   ?pool:Runtime.Pool.t ->
@@ -77,15 +13,8 @@ val resolve :
   coords:Sample.t ->
   unit ->
   string
-(** The backend name to use, honouring [JIGSAW_TUNE]: [Off] returns
-    [default] without measuring anything, [Forced e] returns [e], [Auto]
-    returns [(choose ...).backend]. *)
-
-val cached : unit -> (key * choice) list
-(** Snapshot of the process-wide cache (for gauges and bench reports). *)
-
-val size : unit -> int
-(** Number of cached keys. *)
+(** {!Operator.auto_backend}, whatever the arguments: the problem shape,
+    pool and [default] do not influence the choice. *)
 
 val reset : unit -> unit
-(** Drop every cached choice (tests). *)
+(** No-op: the static rule keeps no state. *)

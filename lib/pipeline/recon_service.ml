@@ -141,17 +141,6 @@ let op_of ?tol ?family ?(transform = Nufft.Transform.Type1) t ~backend ~n
 let operator ?tol ?family ?transform t ~backend ~n ~coords =
   op_of ?tol ?family ?transform t ~backend ~n ~coords
 
-(* ["auto"] defers the backend choice to the tuner: measured trials over
-   the request's own trajectory on a cache miss, the cached winner after.
-   Resolved pool-less, matching how cached operators are built. With
-   [JIGSAW_TUNE=off] the tuner returns the default untouched, so the
-   request behaves exactly like an explicit ["serial"] request. *)
-let resolve_backend req =
-  if req.backend = "auto" then
-    Nufft.Tuner.resolve ?tol:req.tol ?family:req.family ~default:"serial"
-      ~n:req.n ~coords:req.coords ()
-  else req.backend
-
 (* ------------------------------------------------------------------ *)
 (* Fast direct path: for operators that expose their CPU plan, the whole
    adjoint pipeline runs through the pooled arena — replay-spread into the
@@ -193,22 +182,28 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
      the partition is cached in the compiled plan, so the warm path pays
      only the per-shard dispatch. Batch execution passes no pool and
      replays serially — bitwise the same image either way. *)
+  let t0 = now () in
   let splan = Plan.compiled plan canonical in
   Sample_plan.spread_parallel_into ?pool:fft_pool ~simd:plan.Plan.simd splan
     vals a.Workspace.grid;
+  let t1 = now () in
   (match dims with
   | 2 ->
       Fft.Fftnd.transform_2d ?pool:fft_pool ~scratch:a.Workspace.line
-        Fft.Dft.Inverse ~nx:g ~ny:g a.Workspace.grid;
-      Plan.crop_deapodize_2d_into plan a.Workspace.grid a.Workspace.image
+        Fft.Dft.Inverse ~nx:g ~ny:g a.Workspace.grid
   | _ ->
       Fft.Fftnd.transform_3d ?pool:fft_pool ~scratch:a.Workspace.line
-        Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g a.Workspace.grid;
-      Plan.crop_deapodize_3d_into plan a.Workspace.grid a.Workspace.image);
+        Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g a.Workspace.grid);
+  let t2 = now () in
+  (match dims with
+  | 2 -> Plan.crop_deapodize_2d_into plan a.Workspace.grid a.Workspace.image
+  | _ -> Plan.crop_deapodize_3d_into plan a.Workspace.grid a.Workspace.image);
+  let t3 = now () in
   Cvec.scale_inplace (1.0 /. float_of_int m) a.Workspace.image;
   (* The response must outlive the arena: hand back a fresh copy (one
      bigarray allocation — O(1) minor words). *)
-  Cvec.copy a.Workspace.image
+  ( Cvec.copy a.Workspace.image,
+    { Plan.gridding_s = t1 -. t0; fft_s = t2 -. t1; deapod_s = t3 -. t2 } )
 
 let run_cg t op req iters =
   let ilen = Op.image_length op in
@@ -252,7 +247,16 @@ let execute ?fft_pool t req (op, canonical) =
       match req.method_ with
       | Adjoint -> (
           match Op.plan_of op with
-          | Some plan -> Ok (fast_adjoint ?fft_pool t ~plan ~canonical req, 0)
+          | Some plan ->
+              (* The fused path bypasses [Op.apply_adjoint], so it counts
+                 the application on the operator's stats itself. *)
+              let t0 = now () in
+              let image, timings =
+                fast_adjoint ?fft_pool t ~plan ~canonical req
+              in
+              Op.record_adjoint ~timings (Op.stats_of op)
+                ~elapsed_s:(now () -. t0);
+              Ok (image, 0)
           | None -> (
               (* Hardware-model backends (fixed-point, f32 simulation) own
                  their numerics: run them through the generic driver rather
@@ -285,12 +289,12 @@ let run_one ?fft_pool t req =
     match validate req with
     | Error e -> Error e
     | Ok () -> (
-        match resolve_backend req with
-        | exception Invalid_argument msg -> Error (Invalid_request msg)
-        | backend -> (
+        (* ["auto"] resolves before the cache lookup, so an "auto" request
+           shares the entry of the backend it resolves to. *)
         match
           op_of ?tol:req.tol ?family:req.family ~transform:req.transform t
-            ~backend ~n:req.n ~coords:req.coords
+            ~backend:(Op.resolve_backend req.backend) ~n:req.n
+            ~coords:req.coords
         with
         | Error e -> Error e
         | Ok pair -> (
@@ -298,7 +302,7 @@ let run_one ?fft_pool t req =
             | r -> r
             | exception Invalid_argument msg -> Error (Invalid_request msg)
             | exception Failure msg -> Error (Internal msg)
-            | exception exn -> Error (Internal (Printexc.to_string exn)))))
+            | exception exn -> Error (Internal (Printexc.to_string exn))))
   in
   let elapsed_s = now () -. t0 in
   Telemetry.span_end sp;

@@ -33,9 +33,9 @@ type method_ =
 
 type request = {
   backend : string;
-      (** registered operator backend name, or ["auto"] to let the
-          {!Nufft.Tuner} pick from measured trials over this trajectory
-          (with [JIGSAW_TUNE=off], ["auto"] degrades to ["serial"]) *)
+      (** registered operator backend name, or ["auto"] for the
+          production engine {!Nufft.Operator.auto_backend} (same plan-cache
+          entry as naming it explicitly) *)
   transform : Nufft.Transform.t;
       (** which transform to apply. [Type1] is the reconstruction path
           (adjoint or CG); [Type2] evaluates the request's [values] — an

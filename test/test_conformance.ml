@@ -1,6 +1,6 @@
 (* Metamorphic conformance suite: algebraic identities every NuFFT
    backend must satisfy, checked property-based over random coordinate
-   sets for every registry entry in 2D and 3D.
+   sets for every registry entry and every paper engine in 2D and 3D.
 
    - linearity      A(a x + b y) = a A x + b A y (forward and adjoint)
    - adjointness    <A x, y> = <x, A^H y> (Hermitian inner product)
@@ -72,12 +72,36 @@ type mode = Default | Es_tol
 let mode_name = function Default -> "" | Es_tol -> " [es tol=1e-4]"
 let all_modes = [ Default; Es_tol ]
 
-let mk_op mode name ~n coords =
+let context ?pool mode ~n coords =
   match mode with
-  | Default -> Op.create name (Op.context ~n ~coords ())
+  | Default -> Op.context ?pool ~n ~coords ()
   | Es_tol ->
-      Op.create name
-        (Op.context ~tol:1e-4 ~family:Numerics.Window.ES ~n ~coords ())
+      Op.context ?pool ~tol:1e-4 ~family:Numerics.Window.ES ~n ~coords ()
+
+(* Besides every registry entry, the suite covers the paper's engines,
+   which are not registry entries: each runs directly, uncompiled, on
+   every application; "replay-parallel" is the serial entry replaying its
+   compiled plan region-sharded across a two-domain pool. *)
+let pool = lazy (Runtime.Pool.create ~domains:2 ())
+
+let paper_subjects =
+  [ "output-parallel"; "binned"; "slice"; "slice-parallel"; "replay-parallel" ]
+
+let mk_op mode name ~n coords =
+  let direct ?pool engine_of =
+    let c = context ?pool mode ~n coords in
+    let tile = Nufft.Coord.fallback_tile ~g:(Op.ctx_grid c) ~w:c.Op.w in
+    Op.of_engine ~name ~compile:false (engine_of tile) c
+  in
+  match name with
+  | "output-parallel" -> direct (fun _ -> Nufft.Gridding.Output_parallel)
+  | "binned" -> direct (fun t -> Nufft.Gridding.Binned t)
+  | "slice" -> direct (fun t -> Nufft.Gridding.Slice_and_dice t)
+  | "slice-parallel" ->
+      direct ~pool:(Lazy.force pool) (fun t -> Nufft.Gridding.Slice_parallel t)
+  | "replay-parallel" ->
+      Op.create "serial" (context ~pool:(Lazy.force pool) mode ~n coords)
+  | _ -> Op.create name (context mode ~n coords)
 
 let lincomb a x b y =
   let len = Cvec.length x in
@@ -400,11 +424,13 @@ let all_props =
               [ prop_linearity mode name dims;
                 prop_adjointness mode name dims;
                 prop_phase_ramp mode name dims ])
-            (Op.names ~dims ()))
+            (Op.names ~dims () @ paper_subjects))
         [ 2; 3 ])
     all_modes
 
 let () =
+  at_exit (fun () ->
+      if Lazy.is_val pool then Runtime.Pool.shutdown (Lazy.force pool));
   Alcotest.run "conformance"
     [ ("metamorphic", Qutil.to_alcotests all_props);
       ( "type3",

@@ -23,11 +23,9 @@ let rok = function
 (* Registry. *)
 
 let required_2d =
-  [ "serial"; "output-parallel"; "binned"; "slice"; "slice-parallel";
-    "jigsaw-2d"; "gpusim-slice"; "gpusim-binned" ]
+  [ "serial"; "replay-simd"; "jigsaw-2d"; "gpusim-slice"; "gpusim-binned" ]
 
-let cpu_backends =
-  [ "serial"; "output-parallel"; "binned"; "slice"; "slice-parallel" ]
+let cpu_backends = [ "serial"; "replay-simd" ]
 
 let test_registry_names () =
   let names2 = Op.names ~dims:2 () in
@@ -121,8 +119,8 @@ let test_adjointness_3d () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential: Recon.roundtrip through any two CPU operators agrees to
-   accumulation-order tolerance (slice is bit-identical to serial; the
-   parallel / binned schedules only reorder the same additions). *)
+   accumulation-order tolerance (replay-simd holds a 4-ULP contract
+   against serial). *)
 
 let test_roundtrip_differential () =
   let n = 32 in
@@ -165,7 +163,7 @@ let test_recon_3d () =
         C.of_float (exp (-.(d2 ix +. d2 iy +. d2 iz) /. 8.0)))
   in
   let coords = Sample.random ~seed:3 ~dims:3 ~g 600 in
-  let op = Op.create "slice" (Op.context ~n ~coords ()) in
+  let op = Op.create "serial" (Op.context ~n ~coords ()) in
   let samples = Imaging.Recon.acquire_op op image in
   Alcotest.(check int) "acquired sample count" 600 (Sample.length samples);
   let recon = rok (Imaging.Recon.reconstruct_op op samples) in

@@ -48,11 +48,11 @@ let compiled_case ~dims =
   (plan, s, sp)
 
 (* ------------------------------------------------------------------ *)
-(* Sample_plan level: spread / gather against the serial replay. *)
+(* Sample_plan level: pooled spread / gather against pool-less replay. *)
 
 let test_spread_bitwise ~dims () =
   let _, s, sp = compiled_case ~dims in
-  let reference = Sample_plan.spread sp s.Sample.values in
+  let reference = Sample_plan.spread_parallel sp s.Sample.values in
   List.iter
     (fun d ->
       with_pool d (fun pool ->
@@ -77,7 +77,7 @@ let test_gather_bitwise ~dims () =
         (sin (0.03 *. float_of_int k)))
   in
   ignore s;
-  let reference = Sample_plan.gather sp grid in
+  let reference = Sample_plan.gather_parallel sp grid in
   List.iter
     (fun d ->
       with_pool d (fun pool ->
@@ -121,7 +121,8 @@ let test_plan_pool_default () =
         (Plan.adjoint_compiled pooled_plan s))
 
 (* ------------------------------------------------------------------ *)
-(* Operator registry: the replay-parallel backend against serial. *)
+(* Operator registry: the serial entry with a pool in its context replays
+   region-sharded (replay-parallel) against the pool-less serial entry. *)
 
 let test_backend_bitwise () =
   let n = 16 in
@@ -136,7 +137,7 @@ let test_backend_bitwise () =
     (fun d ->
       with_pool d (fun pool ->
           let op =
-            Op.create "replay-parallel" (Op.context ~pool ~n ~coords ())
+            Op.create "serial" (Op.context ~pool ~n ~coords ())
           in
           check_bitwise
             (Printf.sprintf "replay-parallel adjoint, pool %d" d)
@@ -255,7 +256,7 @@ let test_determinism_stress () =
           (cos (0.7 *. float_of_int j)))
   in
   let req =
-    { Svc.backend = "replay-parallel";
+    { Svc.backend = "serial";
       transform = Nufft.Transform.Type1;
       n;
       coords;

@@ -331,7 +331,7 @@ let test_warm_request_zero_plan_builds () =
   let values = values_for coords1 in
   let svc = Svc.create () in
   let req coords =
-    { Svc.backend = "slice";
+    { Svc.backend = "serial";
       transform = Nufft.Transform.Type1;
       n;
       coords;
@@ -352,6 +352,47 @@ let test_warm_request_zero_plan_builds () =
   let s = Cache.stats (Svc.cache svc) in
   Alcotest.(check int) "warm request hit the operator cache" 1 s.Cache.hits;
   check_bitwise "warm image = cold image" r1.Svc.image r2.Svc.image
+
+(* The fused adjoint path skips [Op.apply_adjoint]; it must still count
+   each application on the cached operator's stats and in the
+   process-wide [op.adjoints] counter. *)
+let test_adjoint_counters () =
+  with_telemetry @@ fun () ->
+  let c_adj = Telemetry.Counter.make "op.adjoints" in
+  let n = 16 in
+  let _, coords = radial ~n in
+  let values = values_for coords in
+  List.iter
+    (fun backend ->
+      let svc = Svc.create () in
+      let req =
+        { Svc.backend;
+          transform = Nufft.Transform.Type1;
+          n;
+          coords;
+          values;
+          density = None;
+          method_ = Svc.Adjoint;
+          tol = None;
+          family = None }
+      in
+      let op, _ =
+        match Svc.operator svc ~backend ~n ~coords with
+        | Ok pair -> pair
+        | Error e -> Alcotest.failf "operator: %s" (Svc.error_message e)
+      in
+      for k = 1 to 3 do
+        let before = Telemetry.Counter.value c_adj in
+        ignore (sok (Svc.submit svc req));
+        Alcotest.(check int)
+          (Printf.sprintf "%s: op.adjoints after %d submits" backend k)
+          k (Op.stats_of op).Op.adjoints;
+        Alcotest.(check int)
+          (Printf.sprintf "%s: telemetry op.adjoints +1" backend)
+          1
+          (Telemetry.Counter.value c_adj - before)
+      done)
+    [ "serial"; "replay-simd" ]
 
 let test_typed_errors () =
   let n = 16 in
@@ -578,6 +619,8 @@ let () =
       ( "recon_service",
         [ Alcotest.test_case "warm request zero plan builds" `Quick
             test_warm_request_zero_plan_builds;
+          Alcotest.test_case "adjoint counters on the fused path" `Quick
+            test_adjoint_counters;
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
           Alcotest.test_case "cg through the service" `Quick
             test_cg_through_service;

@@ -106,12 +106,12 @@ let prop_spread_gather =
       let s = Sample.random ~seed ~dims ~g m in
       let sp = Plan.compiled plan s in
       let values = s.Sample.values in
-      let reference = Sample_plan.spread sp values in
+      let reference = Sample_plan.spread_parallel sp values in
       let grid =
         Cvec.init (Sample_plan.grid_length sp) (fun k ->
             C.make (cos (0.01 *. float_of_int k)) (sin (0.03 *. float_of_int k)))
       in
-      let gather_ref = Sample_plan.gather sp grid in
+      let gather_ref = Sample_plan.gather_parallel sp grid in
       List.iter
         (fun impl ->
           let nm = Simd.impl_name impl in
@@ -119,11 +119,11 @@ let prop_spread_gather =
               check_cvec_ulp
                 (Printf.sprintf "spread %s m=%d dims=%d w=%d" nm m dims w)
                 reference
-                (Sample_plan.spread ~simd:true sp values);
+                (Sample_plan.spread_parallel ~simd:true sp values);
               check_cvec_ulp
                 (Printf.sprintf "gather %s m=%d dims=%d w=%d" nm m dims w)
                 gather_ref
-                (Sample_plan.gather ~simd:true sp grid)))
+                (Sample_plan.gather_parallel ~simd:true sp grid)))
         impls;
       true)
 
@@ -138,7 +138,7 @@ let test_shard_replay () =
   let plan = Plan.make ~n:16 () in
   let s = Sample.random ~seed:77 ~dims:2 ~g:32 300 in
   let sp = Plan.compiled plan s in
-  let reference = Sample_plan.spread sp s.Sample.values in
+  let reference = Sample_plan.spread_parallel sp s.Sample.values in
   List.iter
     (fun impl ->
       Simd.with_impl impl (fun () ->

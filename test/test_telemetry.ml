@@ -426,7 +426,7 @@ let test_cg_trace_coverage () =
   let traj = Trajectory.Radial.make ~spokes:8 ~readout:g () in
   let density = Trajectory.Radial.density_weights traj in
   let coords = Imaging.Recon.coords_of_traj ~g traj in
-  let op = Op.create "slice-parallel" (Op.context ~pool ~n ~coords ()) in
+  let op = Op.create "serial" (Op.context ~pool ~n ~coords ()) in
   let phantom = Imaging.Phantom.make ~n () in
   let samples = Imaging.Recon.acquire_op op phantom in
   let rhs = Imaging.Cg.normal_equations_rhs_op ~weights:density op samples in
