@@ -30,7 +30,12 @@
    compiled-replay-simd, which the harness emits whenever replay-simd
    dispatches to the C kernels, else compiled-replay. The harness
    measures every row on its own, so this ratio can fail. Given only
-   CURRENT, the check runs this gate alone (no baseline needed).
+   CURRENT, the check runs this gate and the FFT size-ratio gate alone
+   (no baseline needed).
+
+   The FFT size-ratio gate (also same-run, so it can fail on any
+   machine): the fft-640sq row's serial inverse 2D FFT time must stay
+   within 2.0x of the fft-512sq row's.
 
    Usage: check_hotpath.exe CURRENT [BASELINE] [--tolerance 0.30] *)
 
@@ -223,6 +228,40 @@ let check_static_rule breaches current =
         "static rule (auto)";
       breaches := "static rule: replay or pool-less rows missing" :: !breaches
 
+(* FFT size cliff: the serial inverse 2D FFT at 640^2 (n = 320, the
+   paper's Image 4 grid) may take at most [fft_ratio_required] times the
+   512^2 time of the same run — the area ratio is 1.5625, so a
+   mixed-radix 640-point line passes and a Bluestein one (three
+   2048-point FFTs per line, ~20x) fails. The rows carry grid points per
+   second, so time = g^2 / samples_per_sec. *)
+let fft_ratio_required = 2.0
+
+let check_fft_ratio breaches current =
+  let time name g =
+    List.find_opt (fun (r : engine_row) -> r.name = name) current
+    |> Option.map (fun (r : engine_row) -> float_of_int (g * g) /. r.sps)
+  in
+  match (time "fft-512sq" 512, time "fft-640sq" 640) with
+  | Some t512, Some t640 ->
+      let ratio = t640 /. t512 in
+      let ok = ratio <= fft_ratio_required in
+      Printf.printf
+        "  %-24s 640^2 at %.2fx the 512^2 time (%.2f vs %.2f ms, required \
+         <= %.2fx)  %s\n"
+        "fft size ratio" ratio (1000.0 *. t640) (1000.0 *. t512)
+        fft_ratio_required
+        (if ok then "ok" else "ABOVE LIMIT");
+      if not ok then
+        breaches :=
+          Printf.sprintf
+            "fft size ratio: 640^2 at %.2fx the 512^2 time, required <= %.2fx"
+            ratio fft_ratio_required
+          :: !breaches
+  | _ ->
+      Printf.printf "  %-24s MISSING fft-512sq or fft-640sq rows\n"
+        "fft size ratio";
+      breaches := "fft size ratio: fft rows missing" :: !breaches
+
 let () =
   let args = Array.to_list Sys.argv in
   let tolerance = ref 0.30 in
@@ -264,8 +303,9 @@ let () =
   match List.rev !files with
   | [ current_path ] ->
       let current = read_current current_path in
-      Printf.printf "hot-path static rule (%s):\n" current_path;
+      Printf.printf "hot-path same-run gates (%s):\n" current_path;
       check_static_rule breaches current;
+      check_fft_ratio breaches current;
       report ()
   | [ current_path; baseline_path ] ->
       if not (Sys.file_exists baseline_path) then begin
@@ -440,6 +480,7 @@ let () =
                 "telemetry disabled overhead: %.2f%%, budget < 5%%" pct
               :: !breaches);
       check_static_rule breaches current;
+      check_fft_ratio breaches current;
       report ()
   | _ ->
       Printf.eprintf

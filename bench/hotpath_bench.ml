@@ -2,11 +2,12 @@
 
    Measures, on a fixed seeded workload: gridding throughput (samples/sec)
    and allocation (minor words/sample) for each CPU engine plus the
-   compiled-plan replay path, and the wall time of a compiled-plan CG
-   reconstruction. With [json := true] the numbers are written to
-   BENCH_hotpath.json, one engine per line, so check_hotpath.exe (and the
-   CI perf smoke job) can diff them against the checked-in baseline with a
-   tolerance. *)
+   compiled-plan replay path, the serial inverse 2D FFT at 512^2 and
+   640^2 (rows fft-512sq / fft-640sq, grid points per second), and the
+   wall time of a compiled-plan CG reconstruction. With [json := true]
+   the numbers are written to BENCH_hotpath.json, one engine per line, so
+   check_hotpath.exe (and the CI perf smoke job) can diff them against
+   the checked-in baseline with a tolerance. *)
 
 module Cvec = Numerics.Cvec
 module Sample = Nufft.Sample
@@ -115,6 +116,49 @@ let cg_case ~quick =
   let wall = now () -. t0 in
   ignore result.Imaging.Cg.solution;
   (n, m, result.Imaging.Cg.iterations, wall)
+
+(* Serial inverse 2D FFT at the paper's two clinical grids: 512^2
+   (n = 256, radix-2) and 640^2 (n = 320, mixed radix 5 x 128). The two
+   sizes are timed interleaved, best of [rounds], on a buffer refilled
+   from the same seeded input before every transform (repeated inverse
+   transforms would grow the values without bound). A row's
+   samples_per_sec is grid points per second, g^2 / best time, so
+   check_hotpath can form the same-run time ratio 640^2 : 512^2. *)
+let fft_rows () =
+  let rounds = 31 in
+  let cases =
+    List.map
+      (fun g ->
+        let rng = Random.State.make [| g |] in
+        let src =
+          Cvec.init (g * g) (fun _ ->
+              Numerics.Complexd.make
+                (Random.State.float rng 2.0 -. 1.0)
+                (Random.State.float rng 2.0 -. 1.0))
+        in
+        let scratch = Cvec.create (Fft.Fftnd.scratch_length ~len:g) in
+        (g, src, Cvec.create (g * g), scratch, ref infinity, ref 0.0))
+      [ 512; 640 ]
+  in
+  for _ = 1 to rounds do
+    List.iter
+      (fun (g, src, buf, scratch, best, words) ->
+        Cvec.blit src buf;
+        let w0 = Gc.minor_words () in
+        let t0 = now () in
+        Fft.Fftnd.transform_2d ~scratch Fft.Dft.Inverse ~nx:g ~ny:g buf;
+        let dt = now () -. t0 in
+        words := Gc.minor_words () -. w0;
+        if dt < !best then best := dt)
+      cases
+  done;
+  List.map
+    (fun (g, _, _, _, best, words) ->
+      let points = float_of_int (g * g) in
+      { name = Printf.sprintf "fft-%dsq" g;
+        samples_per_sec = points /. !best;
+        minor_words_per_sample = !words /. points })
+    cases
 
 let write_json ~quick ~g ~m ~tile ~disabled_pct ~replay:(rsps, psps, domains)
     ~simd:(simd_name, scalar_sps, simd_sps, simd_required)
@@ -278,6 +322,7 @@ let run () =
       replay;
       replay_parallel ]
     @ Option.to_list replay_simd
+    @ fft_rows ()
   in
   Printf.printf "  %-16s %14s %18s\n" "engine" "samples/sec"
     "minor words/sample";
@@ -286,6 +331,16 @@ let run () =
       Printf.printf "  %-16s %14.0f %18.4f\n" r.name r.samples_per_sec
         r.minor_words_per_sample)
     rows;
+  (let ms name =
+     let r = List.find (fun r -> r.name = name) rows in
+     let g = Scanf.sscanf name "fft-%dsq" (fun g -> g) in
+     1000.0 *. float_of_int (g * g) /. r.samples_per_sec
+   in
+   let a = ms "fft-512sq" and b = ms "fft-640sq" in
+   Printf.printf
+     "  inverse 2D FFT (serial): 512^2 %.2f ms, 640^2 %.2f ms — %.2fx for \
+      1.56x the points\n"
+     a b (b /. a));
   (* Telemetry overhead: the dispatched serial engine passes through one
      span wrapper (an Atomic read when disabled). The disabled run must
      stay within the 5% overhead budget of a direct engine call; the

@@ -214,7 +214,7 @@ let run_grid n traj_kind m backend w l tol kernel transform seed validate
     let* pool = apply_domains domains in
     let* family = family_of_flag kernel in
     let* transform = transform_of_flag transform in
-    let g = 2 * n in
+    let g = Nufft.Plan.grid_size ~sigma:2.0 ~n in
     let* traj = make_trajectory traj_kind m n in
     let s = samples_of_traj ~g ~seed traj in
     let m = Nufft.Sample.length s in
@@ -295,7 +295,9 @@ let run_recon n spokes output backend tol kernel transform domains cg trace
     in
     let traj = Trajectory.Radial.make ~spokes ~readout:(2 * n) () in
     let density = Trajectory.Radial.density_weights traj in
-    let coords = Imaging.Recon.coords_of_traj ~g:(2 * n) traj in
+    let coords =
+      Imaging.Recon.coords_of_traj ~g:(Nufft.Plan.grid_size ~sigma:2.0 ~n) traj
+    in
     let backend = canonical_backend backend in
     let svc = Svc.create ?pool () in
     (* The acquisition needs the forward operator; taking it from the
@@ -363,7 +365,7 @@ let run_batch n requests share backend tol kernel cg seed domains trace
     let* pool = apply_domains domains in
     let* family = family_of_flag kernel in
     let svc = Svc.create ?pool () in
-    let g = 2 * n in
+    let g = Nufft.Plan.grid_size ~sigma:2.0 ~n in
     let backend = canonical_backend backend in
     let base_spokes = Trajectory.Radial.fully_sampled_spokes ~n in
     let shared = int_of_float ((share *. float_of_int requests) +. 0.5) in

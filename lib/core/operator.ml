@@ -117,12 +117,12 @@ let context ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?pool
     ?(transform = Transform.Type1) ?targets ~n ~coords () =
   if n < 2 then invalid_arg "Operator.context: n must be >= 2";
   if sigma <= 1.0 then invalid_arg "Operator.context: sigma must be > 1";
-  let g = int_of_float (Float.round (sigma *. float_of_int n)) in
+  let g = Plan.grid_size ~sigma ~n in
   if coords.Sample.g <> g then
     invalid_arg
       (Printf.sprintf
-         "Operator.context: coords are on grid %d, but sigma * n rounds to \
-          %d"
+         "Operator.context: coords are on grid %d, but the plan grid for \
+          sigma * n is %d"
          coords.Sample.g g);
   (match (transform, targets) with
   | (Transform.Type1 | Transform.Type2), Some _ ->

@@ -119,7 +119,7 @@ type op = (module NUFFT_OP)
 
 (** Everything a factory needs to build an operator: geometry parameters
     plus the coordinates the operator is bound to ([g] is implied by
-    [coords.g = round (sigma * n)]). *)
+    [coords.g = Plan.grid_size ~sigma ~n]). *)
 type ctx = {
   n : int;
   sigma : float;
@@ -163,7 +163,7 @@ val context :
     ([tol] derives kernel + [w] + [l]; mutually exclusive with explicit
     [kernel]/[w]), so [ctx.w]/[ctx.l]/[ctx.kernel] always equal the
     geometry of the plan a CPU factory builds. Checks
-    [coords.g = round (sigma * n)].
+    [coords.g = Plan.grid_size ~sigma ~n].
 
     [transform] (default {!Transform.Type1}) declares which transform the
     operator will be asked to apply; {!create} rejects backends that do

@@ -57,13 +57,19 @@ let resolve_geometry ?tol ?family ?kernel ?w ?l ~sigma () =
       in
       (None, kernel, w, Option.value l ~default:512)
 
+(* FINUFFT's sizing rule: the smallest 5-smooth length at or above
+   round(sigma n), so every planned grid axis runs the mixed-radix FFT. *)
+let grid_size ~sigma ~n =
+  let g = int_of_float (Float.round (sigma *. float_of_int n)) in
+  Fft.Fft1d.next_smooth (max 1 g)
+
 let make ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?(engine = Gridding.Serial)
     ?(table_precision = Wt.Double) ?pool ?(simd = false) ~n () =
   if n < 2 then invalid_arg "Plan.make: n must be >= 2";
   if sigma <= 1.0 then invalid_arg "Plan.make: sigma must be > 1";
   let tol, kernel, w, l = resolve_geometry ?tol ?family ?kernel ?w ?l ~sigma () in
   if l < 1 then invalid_arg "Plan.make: l must be >= 1";
-  let g = int_of_float (Float.round (sigma *. float_of_int n)) in
+  let g = grid_size ~sigma ~n in
   if w > g then invalid_arg "Plan.make: window wider than oversampled grid";
   (match engine with
   | Gridding.Slice_and_dice t | Gridding.Slice_parallel t ->
@@ -187,6 +193,18 @@ let pad_apodize_3d plan volume =
   done;
   big
 
+(* The FFT stages of the adjoint and forward pipelines transform only
+   the lines the crop reads / the pad filled ({!Fft.Fftnd.transform_cropped}
+   and [transform_padded]); the indices the crop and the gather read are
+   bit-identical to the full transform. *)
+let inverse_cropped plan ~dims grid =
+  Fft.Fftnd.transform_cropped ?pool:plan.pool Fft.Dft.Inverse ~dims ~g:plan.g
+    ~n:plan.n grid
+
+let forward_padded plan ~dims big =
+  Fft.Fftnd.transform_padded ?pool:plan.pool Fft.Dft.Forward ~dims ~g:plan.g
+    ~n:plan.n big
+
 let check_samples plan (s : Sample.t) =
   if s.Sample.g <> plan.g then
     invalid_arg
@@ -206,8 +224,7 @@ let adjoint_2d_timed ?stats plan samples =
       samples.Sample.values
   in
   let t1 = now () in
-  Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g ~ny:plan.g
-    grid;
+  inverse_cropped plan ~dims:2 grid;
   let t2 = now () in
   let image = crop_deapodize_2d plan grid in
   let t3 = now () in
@@ -217,8 +234,7 @@ let adjoint_2d ?stats plan samples = fst (adjoint_2d_timed ?stats plan samples)
 
 let forward_2d ?stats plan ~gx ~gy image =
   let big = pad_apodize_2d plan image in
-  Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Forward ~nx:plan.g ~ny:plan.g
-    big;
+  forward_padded plan ~dims:2 big;
   Gridding.interp_2d ?stats ~table:plan.table ~g:plan.g ~gx ~gy big
 
 let adjoint_1d ?stats plan ~coords values =
@@ -249,8 +265,7 @@ let adjoint_3d_timed ?stats plan samples =
           values
   in
   let t1 = now () in
-  Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g ~ny:plan.g
-    ~nz:plan.g grid;
+  inverse_cropped plan ~dims:3 grid;
   let t2 = now () in
   let volume = crop_deapodize_3d plan grid in
   let t3 = now () in
@@ -264,7 +279,7 @@ let adjoint_3d ?stats plan ~gx ~gy ~gz values =
 let forward_3d ?stats plan ~gx ~gy ~gz volume =
   let g = plan.g in
   let big = pad_apodize_3d plan volume in
-  Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Forward ~nx:g ~ny:g ~nz:g big;
+  forward_padded plan ~dims:3 big;
   Gridding3d.interp_3d ?stats ~table:plan.table ~g ~gx ~gy ~gz big
 
 let adjoint_timed ?stats plan samples =
@@ -368,13 +383,7 @@ let adjoint_compiled_timed ?stats ?pool ?simd plan samples =
   Gridding_stats.end_span span;
   let t1 = now () in
   let dims = Sample.dims samples in
-  (match dims with
-  | 2 ->
-      Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g
-        ~ny:plan.g grid
-  | _ ->
-      Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g
-        ~ny:plan.g ~nz:plan.g grid);
+  inverse_cropped plan ~dims grid;
   let t2 = now () in
   let image =
     match dims with
@@ -391,19 +400,11 @@ let forward_compiled ?stats ?pool ?simd plan ~coords image =
   let rpool = replay_pool ?pool plan in
   let simd = match simd with Some s -> s | None -> plan.simd in
   let sp = compiled ?stats plan coords in
+  let dims = Sample.dims coords in
   let big =
-    match Sample.dims coords with
-    | 2 ->
-        let big = pad_apodize_2d plan image in
-        Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Forward ~nx:plan.g
-          ~ny:plan.g big;
-        big
-    | _ ->
-        let big = pad_apodize_3d plan image in
-        Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Forward ~nx:plan.g
-          ~ny:plan.g ~nz:plan.g big;
-        big
+    if dims = 2 then pad_apodize_2d plan image else pad_apodize_3d plan image
   in
+  forward_padded plan ~dims big;
   let span = Gridding_stats.grid_span "grid.compiled-gather" in
   let out = Sample_plan.gather_parallel ?stats ?pool:rpool ~simd sp big in
   Gridding_stats.end_span span;

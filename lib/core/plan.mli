@@ -23,7 +23,7 @@ type cached
 type plan = private {
   n : int;  (** base (image) grid size per dimension *)
   sigma : float;  (** oversampling factor, 1 < sigma <= 2 typical *)
-  g : int;  (** oversampled grid size, [round (sigma * n)] *)
+  g : int;  (** oversampled grid size, {!grid_size} *)
   w : int;  (** interpolation window width *)
   l : int;  (** table oversampling factor *)
   tol : float option;
@@ -44,6 +44,13 @@ type plan = private {
       (** most recently compiled sample plan, keyed on the physical
           identity of the bound coordinate arrays *)
 }
+
+val grid_size : sigma:float -> n:int -> int
+(** The oversampled grid size for an [n]-point axis: the smallest 5-smooth
+    integer (2^a 3^b 5^c) at or above [round (sigma * n)], the sizing
+    FINUFFT uses, so every planned FFT runs the mixed-radix path of
+    {!Fft.Fft1d}. [n = 256, 320] at [sigma = 2] give 512 and 640;
+    [n = 17] gives 36. *)
 
 val make :
   ?tol:float ->

@@ -21,6 +21,15 @@ let next_pow2 n =
   let rec go m = if m >= n then m else go (m * 2) in
   go 1
 
+let rec strip f n = if n mod f = 0 then strip f (n / f) else n
+
+let is_smooth n = n > 0 && strip 5 (strip 3 (strip 2 n)) = 1
+
+let next_smooth n =
+  if n < 1 then invalid_arg "Fft1d.next_smooth";
+  let rec go m = if is_smooth m then m else go (m + 1) in
+  go n
+
 (* Caches, keyed by (n, sign). The tables are tiny relative to the data and
    the cache makes repeated transforms of the same size (2D row/column
    passes, iterative reconstruction) allocation-free. A mutex guards the
@@ -28,20 +37,18 @@ let next_pow2 n =
    corrupt them; the tables themselves are immutable once published.
 
    The build runs *outside* the lock: under the domain pool the first large
-   transform would otherwise serialize every worker behind one twiddle
+   transform would otherwise serialize every worker behind one table
    build. Workers that miss concurrently each build a candidate table, then
    re-check under the lock and all adopt whichever table was inserted
    first (the tables are deterministic, so the losers' work is identical
    and simply dropped).
 
-   The hit path allocates nothing: int-keyed tables (one twiddle table per
+   The hit path allocates nothing: int-keyed tables (one table per
    transform direction instead of an [(n, sign)] tuple key) looked up with
-   [Hashtbl.find] under an exception match, so a warm serving loop pays no
+   [Hashtbl.find] under an exception match, and the table constructor
+   passed as a closed top-level function, so a warm serving loop pays no
    per-line closure, tuple or [Some] box. *)
 let cache_mutex = Mutex.create ()
-let twiddle_fwd : (int, float array) Hashtbl.t = Hashtbl.create 16
-let twiddle_inv : (int, float array) Hashtbl.t = Hashtbl.create 16
-let bitrev_cache : (int, int array) Hashtbl.t = Hashtbl.create 16
 
 let cache_adopt cache key candidate =
   Mutex.lock cache_mutex;
@@ -55,19 +62,7 @@ let cache_adopt cache key candidate =
   Mutex.unlock cache_mutex;
   adopted
 
-let build_twiddles n sgn =
-  let t = Array.make n 0.0 in
-  for j = 0 to (n / 2) - 1 do
-    let theta =
-      float_of_int sgn *. 2.0 *. Float.pi *. float_of_int j /. float_of_int n
-    in
-    t.(2 * j) <- cos theta;
-    t.((2 * j) + 1) <- sin theta
-  done;
-  t
-
-let twiddles n sgn =
-  let cache = if sgn < 0 then twiddle_fwd else twiddle_inv in
+let cached cache n sgn build =
   Mutex.lock cache_mutex;
   match Hashtbl.find cache n with
   | t ->
@@ -75,9 +70,33 @@ let twiddles n sgn =
       t
   | exception Not_found ->
       Mutex.unlock cache_mutex;
-      cache_adopt cache n (build_twiddles n sgn)
+      cache_adopt cache n (build n sgn)
 
-let build_bitrev n =
+(* One table per direction: [fwd] for sign -1, [inv] for sign +1. *)
+type 'a per_sign = { fwd : (int, 'a) Hashtbl.t; inv : (int, 'a) Hashtbl.t }
+
+let per_sign () = { fwd = Hashtbl.create 16; inv = Hashtbl.create 16 }
+let[@inline] by_sign c sgn = if sgn < 0 then c.fwd else c.inv
+
+(* e^{sgn 2 pi i k / n}, with [k] reduced mod [n] so the angle stays in
+   [0, 2 pi) and accurate. *)
+let[@inline] angle sgn k n =
+  float_of_int sgn *. 2.0 *. Float.pi *. float_of_int (k mod n)
+  /. float_of_int n
+
+let build_twiddles n sgn =
+  let t = Array.make n 0.0 in
+  for j = 0 to (n / 2) - 1 do
+    let theta = angle sgn j n in
+    t.(2 * j) <- cos theta;
+    t.((2 * j) + 1) <- sin theta
+  done;
+  t
+
+let twiddle_cache : float array per_sign = per_sign ()
+let twiddles n sgn = cached (by_sign twiddle_cache sgn) n sgn build_twiddles
+
+let build_bitrev n _ =
   let bits =
     let rec go b m = if m = 1 then b else go (b + 1) (m / 2) in
     go 0 n
@@ -90,15 +109,8 @@ let build_bitrev n =
       done;
       !r)
 
-let bitrev_table n =
-  Mutex.lock cache_mutex;
-  match Hashtbl.find bitrev_cache n with
-  | t ->
-      Mutex.unlock cache_mutex;
-      t
-  | exception Not_found ->
-      Mutex.unlock cache_mutex;
-      cache_adopt bitrev_cache n (build_bitrev n)
+let bitrev_cache : (int, int array) Hashtbl.t = Hashtbl.create 16
+let bitrev_table n = cached bitrev_cache n 0 build_bitrev
 
 (* One radix-2 line at complex offset [off] of a larger buffer, with the
    tables passed in (the batched callers look them up once per batch). *)
@@ -152,47 +164,311 @@ let radix2_lines sgn v ~off ~count ~n =
       done
   end
 
-let radix2_inplace sgn v =
-  radix2_lines sgn v ~off:0 ~count:1 ~n:(Cvec.length v)
+(* {2 Mixed radix: n = 2^a * 3^b * 5^c}
 
-(* Bluestein chirp-z: X_k = c_k * circular-convolution(u, v)_k with
-   u_j = x_j c_j,
-   c_j = e^{s pi i j^2 / n}, v_j = conj(c_j) wrapped symmetrically into a
-   length-m circular buffer, m = next_pow2 (2n - 1). *)
+   Decimation in time with the radix-3/5 factors outermost: a line of
+   length n = p * m (p = 2^a, m = 3^b 5^c > 1) is permuted in place so
+   that the m decimated sub-sequences of length p sit back to back, those
+   m sub-lines run through the radix-2 butterflies of power-of-two lines,
+   and radix-3/5 passes then combine blocks of length L into blocks of
+   length rL until the whole line is done. A 640-point line is one
+   radix-5 pass over five 128-point sub-lines.
+
+   The permutation is the mixed-radix digit reversal: with radices
+   r1 (outermost) .. rk, element i of a length-(r1 N') problem goes to
+   block (i mod r1) of length N' at the recursive position of i / r1,
+   down to the bit-reversed position inside its radix-2 sub-line.
+   It is applied in place by following its cycles, so a line needs no
+   second buffer.
+
+   The plan is flat int/float arrays so the same tables drive the OCaml
+   passes below and {!Simd.fft_mixed_batch}, which mirrors them
+   operation for operation. *)
+
+type mixed = {
+  pow2 : int;  (* p: length of the radix-2 sub-lines *)
+  ident : int array;  (* identity "bit reversal" for the sub-lines *)
+  perm : int array;
+      (* permutation cycles, each as its length then its positions (read
+         from the next position in the cycle); fixed points omitted *)
+  stages : int array;
+      (* (radix, span L, twiddle offset in [stw]) per pass, innermost
+         first *)
+  stw : float array;
+      (* k3 = sgn sin(2pi/3), cos(2pi/5), cos(4pi/5), sgn sin(2pi/5),
+         sgn sin(4pi/5), then per pass the interleaved w_{rL}^{pq} for
+         1 <= p < r, q < L at offset + 2 ((p-1) L + q): consecutive q
+         are adjacent, so the C kernel loads two twiddles at once *)
+}
+
+let build_mixed n sgn =
+  let pow2 = n / strip 2 n in
+  let rec factors m =
+    if m mod 5 = 0 then 5 :: factors (m / 5)
+    else if m mod 3 = 0 then 3 :: factors (m / 3)
+    else []
+  in
+  let radices = factors (n / pow2) in
+  (* Digit-reversed position of input index i, including the bit
+     reversal inside its radix-2 sub-line — one permutation, so the
+     butterflies then run with the identity table [ident]. *)
+  let rev = build_bitrev pow2 0 in
+  let rec pos i len = function
+    | [] -> rev.(i)
+    | r :: rest ->
+        let sub = len / r in
+        ((i mod r) * sub) + pos (i / r) sub rest
+  in
+  (* Position p is pulled from [src.(p)]. *)
+  let src = Array.make n 0 in
+  for i = 0 to n - 1 do
+    src.(pos i n radices) <- i
+  done;
+  let seen = Array.make n false in
+  let perm = ref [] in
+  for p0 = 0 to n - 1 do
+    if (not seen.(p0)) && src.(p0) <> p0 then begin
+      let cycle = ref [] and p = ref p0 in
+      while not seen.(!p) do
+        seen.(!p) <- true;
+        cycle := !p :: !cycle;
+        p := src.(!p)
+      done;
+      perm := (List.length !cycle :: List.rev !cycle) :: !perm
+    end
+  done;
+  let s = float_of_int sgn in
+  let consts =
+    [| s *. sin (2.0 *. Float.pi /. 3.0);
+       cos (2.0 *. Float.pi /. 5.0);
+       cos (4.0 *. Float.pi /. 5.0);
+       s *. sin (2.0 *. Float.pi /. 5.0);
+       s *. sin (4.0 *. Float.pi /. 5.0) |]
+  in
+  let stages = ref [] and tables = ref [ consts ] in
+  let span = ref pow2 and toff = ref (Array.length consts) in
+  List.iter
+    (fun r ->
+      let l = !span in
+      let t = Array.make (2 * l * (r - 1)) 0.0 in
+      for q = 0 to l - 1 do
+        for p = 1 to r - 1 do
+          let theta = angle sgn (p * q) (r * l) in
+          let k = 2 * (((p - 1) * l) + q) in
+          t.(k) <- cos theta;
+          t.(k + 1) <- sin theta
+        done
+      done;
+      stages := !stages @ [ r; l; !toff ];
+      tables := t :: !tables;
+      toff := !toff + Array.length t;
+      span := r * l)
+    (List.rev radices);
+  {
+    pow2;
+    ident = Array.init pow2 Fun.id;
+    perm = Array.of_list (List.concat (List.rev !perm));
+    stages = Array.of_list !stages;
+    stw = Array.concat (List.rev !tables);
+  }
+
+let mixed_cache : mixed per_sign = per_sign ()
+let mixed_plan n sgn = cached (by_sign mixed_cache sgn) n sgn build_mixed
+
+let permute_at v perm ~off =
+  let k = ref 0 in
+  while !k < Array.length perm do
+    let len = Array.unsafe_get perm !k in
+    let c0 = !k + 1 in
+    let first = off + Array.unsafe_get perm c0 in
+    let hr = get_re v first and hi = get_im v first in
+    for j = c0 to c0 + len - 2 do
+      let dst = off + Array.unsafe_get perm j
+      and src = off + Array.unsafe_get perm (j + 1) in
+      set_parts v dst (get_re v src) (get_im v src)
+    done;
+    set_parts v (off + Array.unsafe_get perm (c0 + len - 1)) hr hi;
+    k := c0 + len
+  done
+
+(* X_s = sum_p w_3^{ps} (w_{3L}^{pq} a_p) for the three points
+   [i0, i0 + L, i0 + 2L] of each group. Every output starts from the
+   untwiddled a_0, so an all-zero line stays +0.0 everywhere. *)
+let radix3_pass v stw ~tw ~l ~off ~n =
+  let k3 = Array.unsafe_get stw 0 in
+  let base = ref off in
+  while !base < off + n do
+    for q = 0 to l - 1 do
+      let i0 = !base + q in
+      let i1 = i0 + l in
+      let i2 = i1 + l in
+      let t = tw + (2 * q) in
+      let xr = get_re v i1 and xi = get_im v i1 in
+      let wr = Array.unsafe_get stw t and wi = Array.unsafe_get stw (t + 1) in
+      let a1r = (wr *. xr) -. (wi *. xi) and a1i = (wr *. xi) +. (wi *. xr) in
+      let t = t + (2 * l) in
+      let xr = get_re v i2 and xi = get_im v i2 in
+      let wr = Array.unsafe_get stw t and wi = Array.unsafe_get stw (t + 1) in
+      let a2r = (wr *. xr) -. (wi *. xi) and a2i = (wr *. xi) +. (wi *. xr) in
+      let a0r = get_re v i0 and a0i = get_im v i0 in
+      let tr = a1r +. a2r and ti = a1i +. a2i in
+      let er = k3 *. (a1r -. a2r) and ei = k3 *. (a1i -. a2i) in
+      let br = a0r -. (0.5 *. tr) and bi = a0i -. (0.5 *. ti) in
+      set_parts v i0 (a0r +. tr) (a0i +. ti);
+      set_parts v i1 (br -. ei) (bi +. er);
+      set_parts v i2 (br +. ei) (bi -. er)
+    done;
+    base := !base + (3 * l)
+  done
+
+let radix5_pass v stw ~tw ~l ~off ~n =
+  let c1 = Array.unsafe_get stw 1 and c2 = Array.unsafe_get stw 2 in
+  let s1 = Array.unsafe_get stw 3 and s2 = Array.unsafe_get stw 4 in
+  let base = ref off in
+  while !base < off + n do
+    for q = 0 to l - 1 do
+      let i0 = !base + q in
+      let i1 = i0 + l in
+      let i2 = i1 + l in
+      let i3 = i2 + l in
+      let i4 = i3 + l in
+      let t = tw + (2 * q) in
+      let xr = get_re v i1 and xi = get_im v i1 in
+      let wr = Array.unsafe_get stw t and wi = Array.unsafe_get stw (t + 1) in
+      let a1r = (wr *. xr) -. (wi *. xi) and a1i = (wr *. xi) +. (wi *. xr) in
+      let t = t + (2 * l) in
+      let xr = get_re v i2 and xi = get_im v i2 in
+      let wr = Array.unsafe_get stw t and wi = Array.unsafe_get stw (t + 1) in
+      let a2r = (wr *. xr) -. (wi *. xi) and a2i = (wr *. xi) +. (wi *. xr) in
+      let t = t + (2 * l) in
+      let xr = get_re v i3 and xi = get_im v i3 in
+      let wr = Array.unsafe_get stw t and wi = Array.unsafe_get stw (t + 1) in
+      let a3r = (wr *. xr) -. (wi *. xi) and a3i = (wr *. xi) +. (wi *. xr) in
+      let t = t + (2 * l) in
+      let xr = get_re v i4 and xi = get_im v i4 in
+      let wr = Array.unsafe_get stw t and wi = Array.unsafe_get stw (t + 1) in
+      let a4r = (wr *. xr) -. (wi *. xi) and a4i = (wr *. xi) +. (wi *. xr) in
+      let a0r = get_re v i0 and a0i = get_im v i0 in
+      let t1r = a1r +. a4r and t1i = a1i +. a4i in
+      let t2r = a2r +. a3r and t2i = a2i +. a3i in
+      let t3r = a1r -. a4r and t3i = a1i -. a4i in
+      let t4r = a2r -. a3r and t4i = a2i -. a3i in
+      let b1r = a0r +. (c1 *. t1r) +. (c2 *. t2r)
+      and b1i = a0i +. (c1 *. t1i) +. (c2 *. t2i) in
+      let b2r = a0r +. (c2 *. t1r) +. (c1 *. t2r)
+      and b2i = a0i +. (c2 *. t1i) +. (c1 *. t2i) in
+      let e1r = (s1 *. t3r) +. (s2 *. t4r) and e1i = (s1 *. t3i) +. (s2 *. t4i) in
+      let e2r = (s2 *. t3r) -. (s1 *. t4r) and e2i = (s2 *. t3i) -. (s1 *. t4i) in
+      set_parts v i0 (a0r +. t1r +. t2r) (a0i +. t1i +. t2i);
+      set_parts v i1 (b1r -. e1i) (b1i +. e1r);
+      set_parts v i4 (b1r +. e1i) (b1i -. e1r);
+      set_parts v i2 (b2r -. e2i) (b2i +. e2r);
+      set_parts v i3 (b2r +. e2i) (b2i -. e2r)
+    done;
+    base := !base + (5 * l)
+  done
+
+(* [count] contiguous 5-smooth, non-power-of-two lines, each in place:
+   permute, radix-2 sub-lines, radix-3/5 passes — line by line, so each
+   line stays cache-resident across its passes. With SIMD dispatch on,
+   the whole batch is one {!Simd.fft_mixed_batch} call running the same
+   passes. *)
+let mixed_lines sgn v ~off ~count ~n =
+  let mx = mixed_plan n sgn in
+  let p = mx.pow2 in
+  let rev = mx.ident and tw2 = twiddles p sgn in
+  if Simd.enabled () then
+    Simd.fft_mixed_batch v mx.perm mx.stages mx.stw rev tw2 off count n
+  else
+    for line = 0 to count - 1 do
+      let off = off + (line * n) in
+      permute_at v mx.perm ~off;
+      if p > 1 then
+        for s = 0 to (n / p) - 1 do
+          radix2_at v rev tw2 ~off:(off + (s * p)) ~n:p
+        done;
+      for s = 0 to (Array.length mx.stages / 3) - 1 do
+        let l = Array.unsafe_get mx.stages ((3 * s) + 1)
+        and tw = Array.unsafe_get mx.stages ((3 * s) + 2) in
+        if Array.unsafe_get mx.stages (3 * s) = 3 then
+          radix3_pass v mx.stw ~tw ~l ~off ~n
+        else radix5_pass v mx.stw ~tw ~l ~off ~n
+      done
+    done
+
+let smooth_lines sgn v ~off ~count ~n =
+  if is_pow2 n then radix2_lines sgn v ~off ~count ~n
+  else mixed_lines sgn v ~off ~count ~n
+
+(* {2 Bluestein chirp-z, for lengths with a prime factor above 5}
+
+   X_k = c_k * circular-convolution(u, w)_k with u_j = x_j c_j,
+   c_j = e^{s pi i j^2 / n}, w_j = conj(c_j) wrapped symmetrically into a
+   length-m circular buffer, m = next_pow2 (2n - 1). The chirp and the
+   spectrum of w (pre-scaled by 1/m) depend only on (n, sign), so they are
+   cached; a call pays one forward and one inverse m-point FFT. The m-point
+   work buffer is a spare kept with the cached tables and borrowed through
+   an atomic flag; a concurrent caller that finds it taken allocates its
+   own. *)
+
+type chirp = {
+  m : int;
+  chirp : float array;  (* interleaved c_j, j < n *)
+  filter : Cvec.t;  (* FFT_m(w) / m *)
+  spare : Cvec.t;
+  busy : bool Atomic.t;
+}
+
+let build_chirp n sgn =
+  let m = next_pow2 ((2 * n) - 1) in
+  (* j^2 mod 2n keeps the angle argument small and accurate. *)
+  let chirp = Array.make (2 * n) 0.0 in
+  for j = 0 to n - 1 do
+    let theta = angle sgn (j * j mod (2 * n)) (2 * n) in
+    chirp.(2 * j) <- cos theta;
+    chirp.((2 * j) + 1) <- sin theta
+  done;
+  let filter = Cvec.create m in
+  let scale = 1.0 /. float_of_int m in
+  for j = 0 to n - 1 do
+    let cr = chirp.(2 * j) *. scale and ci = -.chirp.((2 * j) + 1) *. scale in
+    set_parts filter j cr ci;
+    if j > 0 then set_parts filter (m - j) cr ci
+  done;
+  radix2_lines (-1) filter ~off:0 ~count:1 ~n:m;
+  { m; chirp; filter; spare = Cvec.create m; busy = Atomic.make false }
+
+let chirp_cache : chirp per_sign = per_sign ()
+
 let bluestein sgn v =
   let n = Cvec.length v in
-  let m = next_pow2 ((2 * n) - 1) in
-  let s = float_of_int sgn in
-  (* cos/sin of the chirp angle for index j; j^2 mod 2n keeps the angle
-     argument small and accurate. *)
-  let chirp_theta j =
-    let q = j * j mod (2 * n) in
-    s *. Float.pi *. float_of_int q /. float_of_int n
-  in
-  let u = Cvec.create m and w = Cvec.create m in
+  let c = cached (by_sign chirp_cache sgn) n sgn build_chirp in
+  let m = c.m and ch = c.chirp and f = c.filter in
+  let borrowed = Atomic.compare_and_set c.busy false true in
+  let u = if borrowed then c.spare else Cvec.create m in
   for j = 0 to n - 1 do
-    let theta = chirp_theta j in
-    let cr = cos theta and ci = sin theta in
+    let cr = Array.unsafe_get ch (2 * j)
+    and ci = Array.unsafe_get ch ((2 * j) + 1) in
     let xr = get_re v j and xi = get_im v j in
-    set_parts u j ((xr *. cr) -. (xi *. ci)) ((xr *. ci) +. (xi *. cr));
-    set_parts w j cr (-.ci);
-    if j > 0 then set_parts w (m - j) cr (-.ci)
+    set_parts u j ((xr *. cr) -. (xi *. ci)) ((xr *. ci) +. (xi *. cr))
   done;
-  radix2_inplace (-1) u;
-  radix2_inplace (-1) w;
+  for j = 2 * n to (2 * m) - 1 do
+    A1.unsafe_set u j 0.0
+  done;
+  radix2_lines (-1) u ~off:0 ~count:1 ~n:m;
   for j = 0 to m - 1 do
     let ar = get_re u j and ai = get_im u j in
-    let br = get_re w j and bi = get_im w j in
+    let br = get_re f j and bi = get_im f j in
     set_parts u j ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br))
   done;
-  radix2_inplace 1 u;
-  let scale = 1.0 /. float_of_int m in
+  radix2_lines 1 u ~off:0 ~count:1 ~n:m;
   for k = 0 to n - 1 do
-    let theta = chirp_theta k in
-    let cr = cos theta and ci = sin theta in
-    let ur = get_re u k *. scale and ui = get_im u k *. scale in
+    let cr = Array.unsafe_get ch (2 * k)
+    and ci = Array.unsafe_get ch ((2 * k) + 1) in
+    let ur = get_re u k and ui = get_im u k in
     set_parts v k ((ur *. cr) -. (ui *. ci)) ((ur *. ci) +. (ui *. cr))
-  done
+  done;
+  if borrowed then Atomic.set c.busy false
 
 let c_transforms = Telemetry.Counter.make "fft.1d_transforms"
 
@@ -201,17 +477,18 @@ let transform dir v =
   let sgn = int_of_float (Dft.sign dir) in
   Telemetry.Counter.incr c_transforms;
   if n <= 1 then ()
-  else if is_pow2 n then radix2_inplace sgn v
+  else if is_smooth n then smooth_lines sgn v ~off:0 ~count:1 ~n
   else bluestein sgn v
 
 let transform_batch dir v ~off ~count ~len =
   if len < 1 then invalid_arg "Fft1d.transform_batch: len < 1";
-  if not (is_pow2 len) then
-    invalid_arg "Fft1d.transform_batch: len must be a power of two";
+  if not (is_smooth len) then
+    invalid_arg "Fft1d.transform_batch: len must be 2^a * 3^b * 5^c";
   if count < 0 || off < 0 || off + (count * len) > Cvec.length v then
     invalid_arg "Fft1d.transform_batch: line range out of bounds";
   Telemetry.Counter.add c_transforms count;
-  radix2_lines (int_of_float (Dft.sign dir)) v ~off ~count ~n:len
+  if len > 1 then
+    smooth_lines (int_of_float (Dft.sign dir)) v ~off ~count ~n:len
 
 let transformed dir v =
   let c = Cvec.copy v in

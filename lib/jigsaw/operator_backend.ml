@@ -85,7 +85,8 @@ let make_2d (c : Op.ctx) : Op.op =
       let cycles = Engine2d.gridding_cycles engine in
       emit_cycle_span cfg ~cycles;
       let t1 = now () in
-      Fft.Fftnd.transform_2d ?pool:c.Op.pool Fft.Dft.Inverse ~nx:g ~ny:g grid;
+      Fft.Fftnd.transform_cropped ?pool:c.Op.pool Fft.Dft.Inverse ~dims:2 ~g
+        ~n:c.Op.n grid;
       let t2 = now () in
       let image = Nufft.Plan.crop_deapodize_2d plan grid in
       let t3 = now () in
@@ -148,8 +149,8 @@ let make_3d (c : Op.ctx) : Op.op =
       let cycles = Engine3d.unsorted_cycles engine ~m in
       emit_cycle_span cfg ~cycles;
       let t1 = now () in
-      Fft.Fftnd.transform_3d ?pool:c.Op.pool Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g
-        big;
+      Fft.Fftnd.transform_cropped ?pool:c.Op.pool Fft.Dft.Inverse ~dims:3 ~g
+        ~n:c.Op.n big;
       let t2 = now () in
       let volume = Nufft.Plan.crop_deapodize_3d plan big in
       let t3 = now () in

@@ -144,10 +144,11 @@ let operator ?tol ?family ?transform t ~backend ~n ~coords =
 (* ------------------------------------------------------------------ *)
 (* Fast direct path: for operators that expose their CPU plan, the whole
    adjoint pipeline runs through the pooled arena — replay-spread into the
-   arena grid, in-place FFT with the arena line scratch, de-apodize into
-   the arena image — with arithmetic identical (operation order and all)
-   to [Recon.reconstruct_op], so results are bitwise the same while
-   steady-state allocation stays O(1) minor words. *)
+   arena grid, in-place FFT of the lines the crop reads with the arena
+   line scratch, de-apodize into the arena image — with arithmetic
+   identical (operation order and all) to [Recon.reconstruct_op], so
+   results are bitwise the same while steady-state allocation stays O(1)
+   minor words. *)
 
 module A1 = Bigarray.Array1
 
@@ -167,7 +168,9 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
   let m = Cvec.length req.values in
   let g = plan.Plan.g and n = plan.Plan.n in
   let glen = pow g dims and ilen = pow n dims in
-  Workspace.with_arena t.ws ~grid:glen ~line:g ~image:ilen ~samples:m
+  Workspace.with_arena t.ws ~grid:glen
+    ~line:(Fft.Fftnd.scratch_length ~len:g)
+    ~image:ilen ~samples:m
   @@ fun a ->
   let vals =
     match req.density with
@@ -187,13 +190,8 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
   Sample_plan.spread_parallel_into ?pool:fft_pool ~simd:plan.Plan.simd splan
     vals a.Workspace.grid;
   let t1 = now () in
-  (match dims with
-  | 2 ->
-      Fft.Fftnd.transform_2d ?pool:fft_pool ~scratch:a.Workspace.line
-        Fft.Dft.Inverse ~nx:g ~ny:g a.Workspace.grid
-  | _ ->
-      Fft.Fftnd.transform_3d ?pool:fft_pool ~scratch:a.Workspace.line
-        Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g a.Workspace.grid);
+  Fft.Fftnd.transform_cropped ?pool:fft_pool ~scratch:a.Workspace.line
+    Fft.Dft.Inverse ~dims ~g ~n a.Workspace.grid;
   let t2 = now () in
   (match dims with
   | 2 -> Plan.crop_deapodize_2d_into plan a.Workspace.grid a.Workspace.image

@@ -28,7 +28,9 @@ type slot
 
 type arena = {
   grid : Numerics.Cvec.t;  (** [g^dims] oversampled grid *)
-  line : Numerics.Cvec.t;  (** FFT line-gather scratch, length [g] *)
+  line : Numerics.Cvec.t;
+      (** FFT scratch, [Fft.Fftnd.scratch_length ~len:g]: the strided
+          passes gather blocks of neighbouring lines into it *)
   image : Numerics.Cvec.t;  (** [n^dims] result staging *)
   cg : Imaging.Cg.buffers;  (** CG state vectors, length [n^dims] *)
   vals : Numerics.Cvec.t;  (** density-weighted sample values, length m *)

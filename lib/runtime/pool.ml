@@ -126,8 +126,8 @@ let create ?domains () =
   pool
 
 (* Several chunks per participant so an expensive index range (a dense
-   trajectory region, a Bluestein-length FFT line) cannot serialise the
-   tail of the submission. *)
+   trajectory region, a run of FFT lines landing on a slow core) cannot
+   serialise the tail of the submission. *)
 let default_chunk total ~start ~stop = max 1 ((stop - start) / (total * 8))
 
 (* Adaptive work coarsening. The per-chunk cost of a submission (atomic

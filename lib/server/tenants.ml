@@ -122,9 +122,7 @@ let to_service_request t (r : Protocol.recon_request) =
             Printf.sprintf "cg iterations %d not in 1..%d" iters
               cg_iteration_cap )
     | _ ->
-        let g =
-          int_of_float (Float.round (t.cfg.sigma *. float_of_int r.n))
-        in
+        let g = Nufft.Plan.grid_size ~sigma:t.cfg.sigma ~n:r.n in
         let values = Numerics.Cvec.create m in
         for j = 0 to m - 1 do
           Numerics.Cvec.set_parts values j r.values.(2 * j)

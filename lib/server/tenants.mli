@@ -14,7 +14,8 @@ type config = {
   cache_entries : int;  (** per-tenant plan-cache entry quota *)
   cache_bytes : int option;  (** per-tenant plan-cache byte quota *)
   default_backend : string;  (** used when the wire request says [""] *)
-  sigma : float;  (** NuFFT oversampling; fixes [g = round (sigma * n)] *)
+  sigma : float;
+      (** NuFFT oversampling; fixes [g = Nufft.Plan.grid_size ~sigma ~n] *)
 }
 
 val default_config : config
@@ -39,5 +40,5 @@ val handle :
 (** Execute one wire reconstruction request on its tenant's service:
     validates wire-level invariants (dims/axis lengths, finite
     coordinates, CG iteration cap), converts omega radians to grid-unit
-    coordinates at [g = round (sigma * n)], submits synchronously, and
+    coordinates at [g = Nufft.Plan.grid_size ~sigma ~n], submits synchronously, and
     maps service errors to wire statuses. Never raises. *)

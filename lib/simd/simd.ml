@@ -87,6 +87,19 @@ external fft_batch : Cvec.t -> int array -> float array -> int -> int -> unit
   = "jigsaw_simd_fft_batch"
 [@@noalloc]
 
+external fft_mixed_batch :
+  Cvec.t ->
+  int array ->
+  int array ->
+  float array ->
+  int array ->
+  float array ->
+  int ->
+  int ->
+  int ->
+  unit = "jigsaw_simd_fft_mixed_batch_bc" "jigsaw_simd_fft_mixed_batch"
+[@@noalloc]
+
 external deapod_row :
   Cvec.t ->
   (int[@untagged]) ->

@@ -87,6 +87,27 @@ external fft_batch : Numerics.Cvec.t -> int array -> float array -> int -> int -
     [rev] and interleaved twiddle table [tw] (whose sign encodes the
     direction). Identical loop structure to the OCaml butterflies. *)
 
+external fft_mixed_batch :
+  Numerics.Cvec.t ->
+  int array ->
+  int array ->
+  float array ->
+  int array ->
+  float array ->
+  int ->
+  int ->
+  int ->
+  unit = "jigsaw_simd_fft_mixed_batch_bc" "jigsaw_simd_fft_mixed_batch"
+[@@noalloc]
+(** [fft_mixed_batch v perm stages stw rev tw off count n] — mixed-radix
+    (2^a 3^b 5^c) lines: [count] contiguous lines of length [n] from
+    complex offset [off], each permuted in place by the cycles in
+    [perm], its [n / p] radix-2 sub-lines ([p = Array.length rev], with
+    [rev]/[tw] as for {!fft_batch}) transformed, then the radix-3/5
+    passes of [stages]/[stw] applied. The tables are {!Fft.Fft1d}'s
+    mixed-radix plan; identical loop structure and per-element operation
+    order to its OCaml passes. *)
+
 external deapod_row :
   Numerics.Cvec.t ->
   (int[@untagged]) ->

@@ -1,6 +1,7 @@
 /* SIMD kernels for the hot flat loops: compiled-plan replay spread and
- * gather (indexed scatter/gather multiply-accumulate), radix-2 FFT
- * butterfly lines over interleaved complex data, and deapodization rows
+ * gather (indexed scatter/gather multiply-accumulate), radix-2 and
+ * mixed-radix (2/3/5) FFT lines over interleaved complex data, and
+ * deapodization rows
  * (pointwise complex-by-real scale).
  *
  * Numerics contract: every vector body performs, per output element,
@@ -33,6 +34,7 @@
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
+#include <string.h>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define JIGSAW_SIMD_X86 1
@@ -504,6 +506,247 @@ CAMLprim value jigsaw_simd_fft_batch(value v, value rev, value tw, value off,
     }
   }
   return Val_unit;
+}
+
+/* ------------------------------------------------------------------ */
+/* Mixed-radix lines (n = 2^a 3^b 5^c, not a power of two): the exact
+ * loop structure of Fft1d.mixed_lines. Per line: the digit-reversal
+ * permutation applied in place by following its cycles ([perm] holds
+ * each cycle as its length then its positions), the n/p radix-2
+ * sub-lines through the kernels above, then the radix-3/5 passes listed
+ * in [stages] as (radix, span, twiddle offset) triples. [stw] holds the
+ * radix constants k3, c51, c52, s51, s52 then every pass's interleaved
+ * twiddles w_{rL}^{pq}, p-major (q = 0 .. L-1 for each p = 1 .. r-1, so
+ * the twiddles of q and q+1 are adjacent). Each vector body
+ * computes, per output lane, the scalar expression sequence of the
+ * OCaml pass: the complex multiply is the addsub form used by the
+ * radix-2 kernel, and i*e is a lane swap (negated for the conjugate
+ * output; x - (-y) rounds exactly like x + y). */
+
+static void permute_line(double *v, value perm)
+{
+  long len = (long)Wosize_val(perm);
+  long k = 0;
+  while (k < len) {
+    long cl = IDX(perm, k);
+    long c0 = k + 1;
+    long d = IDX(perm, c0);
+    double held[2];
+    memcpy(held, v + 2 * d, sizeof held);
+    for (long j = c0 + 1; j < c0 + cl; j++) {
+      long s = IDX(perm, j);
+      memcpy(v + 2 * d, v + 2 * s, 2 * sizeof(double));
+      d = s;
+    }
+    memcpy(v + 2 * d, held, sizeof held);
+    k = c0 + cl;
+  }
+}
+
+static void radix3_q(double *v, const double *tw, double k3, long b,
+                     long q, long l)
+{
+  double *x0 = v + 2 * (b + q), *x1 = x0 + 2 * l, *x2 = x1 + 2 * l;
+  const double *w1 = tw + 2 * q, *w2 = w1 + 2 * l;
+  double a1r = w1[0] * x1[0] - w1[1] * x1[1];
+  double a1i = w1[0] * x1[1] + w1[1] * x1[0];
+  double a2r = w2[0] * x2[0] - w2[1] * x2[1];
+  double a2i = w2[0] * x2[1] + w2[1] * x2[0];
+  double a0r = x0[0], a0i = x0[1];
+  double tr = a1r + a2r, ti = a1i + a2i;
+  double er = k3 * (a1r - a2r), ei = k3 * (a1i - a2i);
+  double br = a0r - 0.5 * tr, bi = a0i - 0.5 * ti;
+  x0[0] = a0r + tr;
+  x0[1] = a0i + ti;
+  x1[0] = br - ei;
+  x1[1] = bi + er;
+  x2[0] = br + ei;
+  x2[1] = bi - er;
+}
+
+static void radix5_q(double *v, const double *tw, const double *c, long b,
+                     long q, long l)
+{
+  double c1 = c[1], c2 = c[2], s1 = c[3], s2 = c[4];
+  double *x0 = v + 2 * (b + q), *x1 = x0 + 2 * l, *x2 = x1 + 2 * l;
+  double *x3 = x2 + 2 * l, *x4 = x3 + 2 * l;
+  const double *w1 = tw + 2 * q, *w2 = w1 + 2 * l;
+  const double *w3 = w2 + 2 * l, *w4 = w3 + 2 * l;
+  double a1r = w1[0] * x1[0] - w1[1] * x1[1];
+  double a1i = w1[0] * x1[1] + w1[1] * x1[0];
+  double a2r = w2[0] * x2[0] - w2[1] * x2[1];
+  double a2i = w2[0] * x2[1] + w2[1] * x2[0];
+  double a3r = w3[0] * x3[0] - w3[1] * x3[1];
+  double a3i = w3[0] * x3[1] + w3[1] * x3[0];
+  double a4r = w4[0] * x4[0] - w4[1] * x4[1];
+  double a4i = w4[0] * x4[1] + w4[1] * x4[0];
+  double a0r = x0[0], a0i = x0[1];
+  double t1r = a1r + a4r, t1i = a1i + a4i;
+  double t2r = a2r + a3r, t2i = a2i + a3i;
+  double t3r = a1r - a4r, t3i = a1i - a4i;
+  double t4r = a2r - a3r, t4i = a2i - a3i;
+  double b1r = a0r + c1 * t1r + c2 * t2r, b1i = a0i + c1 * t1i + c2 * t2i;
+  double b2r = a0r + c2 * t1r + c1 * t2r, b2i = a0i + c2 * t1i + c1 * t2i;
+  double e1r = s1 * t3r + s2 * t4r, e1i = s1 * t3i + s2 * t4i;
+  double e2r = s2 * t3r - s1 * t4r, e2i = s2 * t3i - s1 * t4i;
+  x0[0] = a0r + t1r + t2r;
+  x0[1] = a0i + t1i + t2i;
+  x1[0] = b1r - e1i;
+  x1[1] = b1i + e1r;
+  x4[0] = b1r + e1i;
+  x4[1] = b1i - e1r;
+  x2[0] = b2r - e2i;
+  x2[1] = b2i + e2r;
+  x3[0] = b2r + e2i;
+  x3[1] = b2i - e2r;
+}
+
+#ifdef JIGSAW_SIMD_X86
+/* (q, q+1) complex multiply by their adjacent twiddles w[0..3]. */
+__attribute__((target("avx2"))) static inline __m256d
+cmul_pair(__m256d x, const double *w)
+{
+  __m256d ww = _mm256_loadu_pd(w);
+  __m256d wre = _mm256_movedup_pd(ww);
+  __m256d wim = _mm256_permute_pd(ww, 0xF);
+  __m256d xsw = _mm256_shuffle_pd(x, x, 0x5);
+  return _mm256_addsub_pd(_mm256_mul_pd(wre, x), _mm256_mul_pd(wim, xsw));
+}
+
+/* b + i e and b - i e, lane by lane as (br - ei, bi + er) and
+ * (br + ei, bi - er). */
+__attribute__((target("avx2"))) static inline void
+plus_minus_i(__m256d b, __m256d e, __m256d *plus, __m256d *minus)
+{
+  const __m256d neg = _mm256_set1_pd(-0.0);
+  __m256d esw = _mm256_shuffle_pd(e, e, 0x5);
+  *plus = _mm256_addsub_pd(b, esw);
+  *minus = _mm256_addsub_pd(b, _mm256_xor_pd(esw, neg));
+}
+
+__attribute__((target("avx2"))) static void
+radix3_avx2(double *v, const double *tw, double k3, long b, long l)
+{
+  const __m256d vk3 = _mm256_set1_pd(k3), half = _mm256_set1_pd(0.5);
+  long q = 0;
+  for (; q + 2 <= l; q += 2) {
+    double *p0 = v + 2 * (b + q), *p1 = p0 + 2 * l, *p2 = p1 + 2 * l;
+    const double *w = tw + 2 * q;
+    __m256d a1 = cmul_pair(_mm256_loadu_pd(p1), w);
+    __m256d a2 = cmul_pair(_mm256_loadu_pd(p2), w + 2 * l);
+    __m256d a0 = _mm256_loadu_pd(p0);
+    __m256d t = _mm256_add_pd(a1, a2);
+    __m256d e = _mm256_mul_pd(vk3, _mm256_sub_pd(a1, a2));
+    __m256d bb = _mm256_sub_pd(a0, _mm256_mul_pd(half, t));
+    __m256d x1, x2;
+    plus_minus_i(bb, e, &x1, &x2);
+    _mm256_storeu_pd(p0, _mm256_add_pd(a0, t));
+    _mm256_storeu_pd(p1, x1);
+    _mm256_storeu_pd(p2, x2);
+  }
+  for (; q < l; q++) radix3_q(v, tw, k3, b, q, l);
+}
+
+__attribute__((target("avx2"))) static void
+radix5_avx2(double *v, const double *tw, const double *c, long b, long l)
+{
+  const __m256d c1 = _mm256_set1_pd(c[1]), c2 = _mm256_set1_pd(c[2]);
+  const __m256d s1 = _mm256_set1_pd(c[3]), s2 = _mm256_set1_pd(c[4]);
+  long q = 0;
+  for (; q + 2 <= l; q += 2) {
+    double *p0 = v + 2 * (b + q), *p1 = p0 + 2 * l, *p2 = p1 + 2 * l;
+    double *p3 = p2 + 2 * l, *p4 = p3 + 2 * l;
+    const double *w = tw + 2 * q;
+    __m256d a1 = cmul_pair(_mm256_loadu_pd(p1), w);
+    __m256d a2 = cmul_pair(_mm256_loadu_pd(p2), w + 2 * l);
+    __m256d a3 = cmul_pair(_mm256_loadu_pd(p3), w + 4 * l);
+    __m256d a4 = cmul_pair(_mm256_loadu_pd(p4), w + 6 * l);
+    __m256d a0 = _mm256_loadu_pd(p0);
+    __m256d t1 = _mm256_add_pd(a1, a4), t2 = _mm256_add_pd(a2, a3);
+    __m256d t3 = _mm256_sub_pd(a1, a4), t4 = _mm256_sub_pd(a2, a3);
+    __m256d b1 = _mm256_add_pd(_mm256_add_pd(a0, _mm256_mul_pd(c1, t1)),
+                               _mm256_mul_pd(c2, t2));
+    __m256d b2 = _mm256_add_pd(_mm256_add_pd(a0, _mm256_mul_pd(c2, t1)),
+                               _mm256_mul_pd(c1, t2));
+    __m256d e1 = _mm256_add_pd(_mm256_mul_pd(s1, t3), _mm256_mul_pd(s2, t4));
+    __m256d e2 = _mm256_sub_pd(_mm256_mul_pd(s2, t3), _mm256_mul_pd(s1, t4));
+    __m256d x1, x4, x2, x3;
+    plus_minus_i(b1, e1, &x1, &x4);
+    plus_minus_i(b2, e2, &x2, &x3);
+    _mm256_storeu_pd(p0, _mm256_add_pd(_mm256_add_pd(a0, t1), t2));
+    _mm256_storeu_pd(p1, x1);
+    _mm256_storeu_pd(p2, x2);
+    _mm256_storeu_pd(p3, x3);
+    _mm256_storeu_pd(p4, x4);
+  }
+  for (; q < l; q++) radix5_q(v, tw, c, b, q, l);
+}
+#endif
+
+static void radix2_sublines(double *line, value rev, const double *tw2,
+                            long p, long count)
+{
+  for (long s = 0; s < count; s++) {
+    double *sub = line + 2 * s * p;
+    switch (jigsaw_simd_impl) {
+#ifdef JIGSAW_SIMD_X86
+    case IMPL_AVX2: fft_line_avx2(sub, rev, tw2, p); break;
+#endif
+#ifdef JIGSAW_SIMD_NEON
+    case IMPL_NEON: fft_line_neon(sub, rev, tw2, p); break;
+#endif
+    default: fft_line_scalar(sub, rev, tw2, p); break;
+    }
+  }
+}
+
+CAMLprim value jigsaw_simd_fft_mixed_batch(value v, value perm, value stages,
+                                           value stw, value rev, value tw,
+                                           value off, value count, value len)
+{
+  long n = Long_val(len), c = Long_val(count);
+  long p = (long)Wosize_val(rev);
+  long nst = (long)Wosize_val(stages) / 3;
+  const double *st = FLOATS(stw);
+  const double *tw2 = FLOATS(tw);
+  double *data = (double *)Caml_ba_data_val(v) + 2 * Long_val(off);
+  for (long li = 0; li < c; li++) {
+    double *line = data + 2 * li * n;
+    permute_line(line, perm);
+    if (p > 1) radix2_sublines(line, rev, tw2, p, n / p);
+    for (long s = 0; s < nst; s++) {
+      long r = IDX(stages, 3 * s), l = IDX(stages, 3 * s + 1);
+      const double *stw_s = st + IDX(stages, 3 * s + 2);
+      for (long b = 0; b < n; b += r * l) {
+        if (r == 3) {
+#ifdef JIGSAW_SIMD_X86
+          if (jigsaw_simd_impl == IMPL_AVX2) {
+            radix3_avx2(line, stw_s, st[0], b, l);
+            continue;
+          }
+#endif
+          for (long q = 0; q < l; q++) radix3_q(line, stw_s, st[0], b, q, l);
+        } else {
+#ifdef JIGSAW_SIMD_X86
+          if (jigsaw_simd_impl == IMPL_AVX2) {
+            radix5_avx2(line, stw_s, st, b, l);
+            continue;
+          }
+#endif
+          for (long q = 0; q < l; q++) radix5_q(line, stw_s, st, b, q, l);
+        }
+      }
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value jigsaw_simd_fft_mixed_batch_bc(value *argv, int argn)
+{
+  (void)argn;
+  return jigsaw_simd_fft_mixed_batch(argv[0], argv[1], argv[2], argv[3],
+                                     argv[4], argv[5], argv[6], argv[7],
+                                     argv[8]);
 }
 
 /* ------------------------------------------------------------------ */

@@ -7,8 +7,8 @@
     illegible in our source text, so each dataset generates its samples from
     a realistic MRI trajectory (radial or spiral) of comparable scale —
     documented per dataset. The [sigma = 2] oversampled grid sizes are
-    {128, 128, 512, 640, 1024}; note 640 exercises the non-power-of-two
-    (Bluestein) FFT path. *)
+    {128, 128, 512, 640, 1024}; note 640 = 5 * 128 exercises the
+    non-power-of-two (mixed-radix) FFT path. *)
 
 type t = {
   name : string;  (** "Image 1" .. "Image 5" *)

@@ -1,5 +1,6 @@
-(* Tests for the FFT substrate: radix-2, Bluestein, 2D/3D, against the naive
-   DFT oracle. *)
+(* Tests for the FFT substrate: radix-2, mixed radix (2/3/5), Bluestein,
+   2D/3D and the pruned crop/pad transforms, against the naive DFT oracle
+   and against the full transforms bit for bit. *)
 
 module C = Numerics.Complexd
 module Cvec = Numerics.Cvec
@@ -63,6 +64,8 @@ let test_fft_matches_dft_pow2 () =
       check_vec ~eps:1e-8 (Printf.sprintf "n=%d inv" n) idft ifft)
     [ 1; 2; 4; 8; 32; 128; 512 ]
 
+(* Historical name: of these lengths only 7 still takes Bluestein; the
+   rest are 5-smooth and run the mixed-radix path. *)
 let test_fft_matches_dft_bluestein () =
   let rng = Random.State.make [| 7 |] in
   List.iter
@@ -194,6 +197,142 @@ let test_fftshift () =
   let ss = Fft.Fftnd.fftshift_2d ~nx ~ny s in
   check_vec ~eps:0.0 "self inverse (even dims)" v ss
 
+(* --- pruned transforms ------------------------------------------------ *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The centred crop's indices on one axis: wrap(i - n/2), i < n. *)
+let crop_axis ~g ~n = List.init n (fun i -> (i - (n / 2) + g) mod g)
+
+let check_bitwise msg ~full ~pruned idx =
+  List.iter
+    (fun k ->
+      if
+        not
+          (bits_equal (Cvec.get_re full k) (Cvec.get_re pruned k)
+          && bits_equal (Cvec.get_im full k) (Cvec.get_im pruned k))
+      then Alcotest.failf "%s: index %d differs" msg k)
+    idx
+
+let crop_indices ~dims ~g ~n =
+  let ax = crop_axis ~g ~n in
+  if dims = 2 then
+    List.concat_map (fun y -> List.map (fun x -> (y * g) + x) ax) ax
+  else
+    List.concat_map
+      (fun z ->
+        List.concat_map (fun y -> List.map (fun x -> (((z * g) + y) * g) + x) ax) ax)
+      ax
+
+let full_transform ?pool dir ~dims ~g v =
+  if dims = 2 then Fft.Fftnd.transform_2d ?pool dir ~nx:g ~ny:g v
+  else Fft.Fftnd.transform_3d ?pool dir ~nx:g ~ny:g ~nz:g v
+
+(* Crop: every index the crop reads equals the full transform's bits.
+   Pad: on a grid that is zero outside the centred pad, every index of
+   the whole grid equals the full transform's bits. Serial and on a
+   2-domain pool. *)
+let test_pruned_matches_full () =
+  let pool = Runtime.Pool.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (dims, g, n) ->
+      let len = if dims = 2 then g * g else g * g * g in
+      let rng = Random.State.make [| g; n; dims |] in
+      let idx = crop_indices ~dims ~g ~n in
+      List.iter
+        (fun pool ->
+          let tag what =
+            Printf.sprintf "%s %dD g=%d n=%d%s" what dims g n
+              (if pool = None then "" else " pooled")
+          in
+          let v = rand_vec rng len in
+          let full = Cvec.copy v and pruned = Cvec.copy v in
+          full_transform ?pool Fft.Dft.Inverse ~dims ~g full;
+          Fft.Fftnd.transform_cropped ?pool Fft.Dft.Inverse ~dims ~g ~n pruned;
+          check_bitwise (tag "crop") ~full ~pruned idx;
+          let padded = Cvec.create len in
+          List.iter (fun k -> Cvec.set padded k (Cvec.get v k)) idx;
+          let full = Cvec.copy padded and pruned = Cvec.copy padded in
+          full_transform ?pool Fft.Dft.Forward ~dims ~g full;
+          Fft.Fftnd.transform_padded ?pool Fft.Dft.Forward ~dims ~g ~n pruned;
+          check_bitwise (tag "pad") ~full ~pruned (List.init len Fun.id))
+        [ None; Some pool ])
+    [ (2, 24, 12); (2, 24, 7); (2, 512, 256); (2, 640, 320); (3, 40, 20);
+      (3, 40, 9); (3, 64, 32) ]
+
+(* The line count is named beforehand: g + n lines per pruned 2D
+   adjoint, g^2 + g n + n^2 per pruned 3D adjoint (and the mirrored
+   counts for the forward). *)
+let test_pruned_line_counts () =
+  let c = Telemetry.Counter.make "fft.lines" in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  List.iter
+    (fun (dims, g, n, expected) ->
+      let v = Cvec.create (if dims = 2 then g * g else g * g * g) in
+      let before = Telemetry.Counter.value c in
+      Fft.Fftnd.transform_cropped Fft.Dft.Inverse ~dims ~g ~n v;
+      Alcotest.(check int)
+        (Printf.sprintf "cropped %dD g=%d n=%d lines" dims g n)
+        expected
+        (Telemetry.Counter.value c - before);
+      let before = Telemetry.Counter.value c in
+      Fft.Fftnd.transform_padded Fft.Dft.Forward ~dims ~g ~n v;
+      Alcotest.(check int)
+        (Printf.sprintf "padded %dD g=%d n=%d lines" dims g n)
+        expected
+        (Telemetry.Counter.value c - before))
+    [ (2, 640, 320, 640 + 320); (2, 512, 256, 512 + 256);
+      (3, 64, 32, (64 * 64) + (64 * 32) + (32 * 32));
+      (3, 40, 20, (40 * 40) + (40 * 20) + (20 * 20)) ];
+  (* and through a whole NUFFT adjoint, which must run the pruned pass *)
+  List.iter
+    (fun (dims, n) ->
+      let plan = Nufft.Plan.make ~n () in
+      let g = plan.Nufft.Plan.g in
+      let samples = Nufft.Sample.random ~seed:5 ~dims ~g 200 in
+      let before = Telemetry.Counter.value c in
+      ignore (Nufft.Plan.adjoint_compiled plan samples);
+      let expected =
+        if dims = 2 then g + n else (g * g) + (g * n) + (n * n)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "Plan.adjoint_compiled %dD n=%d lines" dims n)
+        expected
+        (Telemetry.Counter.value c - before))
+    [ (2, 32); (3, 10) ]
+
+let test_pruned_validation () =
+  Alcotest.check_raises "n > g"
+    (Invalid_argument "Fftnd.transform_cropped: need 1 <= n <= g") (fun () ->
+      Fft.Fftnd.transform_cropped Fft.Dft.Inverse ~dims:2 ~g:4 ~n:5
+        (Cvec.create 16));
+  Alcotest.check_raises "dims"
+    (Invalid_argument "Fftnd.transform_padded: dims must be 2 or 3")
+    (fun () ->
+      Fft.Fftnd.transform_padded Fft.Dft.Forward ~dims:1 ~g:4 ~n:2
+        (Cvec.create 4))
+
+let test_smooth_helpers () =
+  Alcotest.(check bool) "640" true (Fft.Fft1d.is_smooth 640);
+  Alcotest.(check bool) "1" true (Fft.Fft1d.is_smooth 1);
+  Alcotest.(check bool) "34" false (Fft.Fft1d.is_smooth 34);
+  Alcotest.(check bool) "0" false (Fft.Fft1d.is_smooth 0);
+  Alcotest.(check int) "next 34" 36 (Fft.Fft1d.next_smooth 34);
+  Alcotest.(check int) "next 640" 640 (Fft.Fft1d.next_smooth 640);
+  Alcotest.(check int) "next 7" 8 (Fft.Fft1d.next_smooth 7);
+  Alcotest.(check int) "next 1" 1 (Fft.Fft1d.next_smooth 1)
+
+(* Non-smooth lengths still go through Bluestein, and a batch of them is
+   rejected by the in-place batch entry. *)
+let test_batch_rejects_non_smooth () =
+  Alcotest.check_raises "len 7"
+    (Invalid_argument "Fft1d.transform_batch: len must be 2^a * 3^b * 5^c")
+    (fun () ->
+      Fft.Fft1d.transform_batch Fft.Dft.Forward (Cvec.create 14) ~off:0
+        ~count:2 ~len:7)
+
 let test_size_mismatch () =
   Alcotest.check_raises "2d size"
     (Invalid_argument "Fftnd.transform_2d: size mismatch") (fun () ->
@@ -219,11 +358,56 @@ let prop_roundtrip =
           (Fft.Fft1d.transformed Fft.Dft.Forward v) in
       Cvec.max_abs_diff v back <= 1e-8)
 
-let qtests = Qutil.to_alcotests [ prop_fft_dft_agree; prop_roundtrip ]
+(* Every 5-smooth length up to 2000 runs the mixed-radix (or radix-2)
+   path; each is checked in both directions against the O(n^2) DFT. One
+   case covers all lengths (about 9 s of DFT in the dev profile). *)
+let smooth_lengths = List.filter Fft.Fft1d.is_smooth (List.init 2000 succ)
+
+let rel_l2 ~reference v =
+  let num = ref 0.0 and den = ref 0.0 in
+  for k = 0 to Cvec.length v - 1 do
+    let dr = Cvec.get_re v k -. Cvec.get_re reference k
+    and di = Cvec.get_im v k -. Cvec.get_im reference k in
+    num := !num +. (dr *. dr) +. (di *. di);
+    den :=
+      !den
+      +. (Cvec.get_re reference k ** 2.0)
+      +. (Cvec.get_im reference k ** 2.0)
+  done;
+  if !den = 0.0 then sqrt !num else sqrt (!num /. !den)
+
+let prop_smooth_lengths =
+  QCheck.Test.make
+    ~name:"fft = dft on every 5-smooth length <= 2000 (rel l2 <= 1e-12)"
+    ~count:1
+    QCheck.(int_range 0 10000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun dir ->
+              let v = rand_vec rng n in
+              let err =
+                rel_l2 ~reference:(Fft.Dft.transform dir v)
+                  (Fft.Fft1d.transformed dir v)
+              in
+              if err > 1e-12 then
+                QCheck.Test.fail_reportf "n=%d %s rel l2 %.3e" n
+                  (if dir = Fft.Dft.Forward then "forward" else "inverse")
+                  err)
+            [ Fft.Dft.Forward; Fft.Dft.Inverse ])
+        smooth_lengths;
+      true)
+
+let qtests =
+  Qutil.to_alcotests [ prop_fft_dft_agree; prop_roundtrip; prop_smooth_lengths ]
 
 let () =
   Alcotest.run "fft"
-    [ ("helpers", [ Alcotest.test_case "pow2" `Quick test_pow2_helpers ]);
+    [ ("helpers",
+       [ Alcotest.test_case "pow2" `Quick test_pow2_helpers;
+         Alcotest.test_case "5-smooth" `Quick test_smooth_helpers ]);
       ("fft1d",
        [ Alcotest.test_case "impulse" `Quick test_fft_impulse;
          Alcotest.test_case "single tone" `Quick test_fft_single_tone;
@@ -234,12 +418,19 @@ let () =
          Alcotest.test_case "cache interleaving" `Quick test_cache_interleaving;
          Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
          Alcotest.test_case "linearity" `Quick test_fft_linearity;
-         Alcotest.test_case "parseval" `Quick test_parseval ]);
+         Alcotest.test_case "parseval" `Quick test_parseval;
+         Alcotest.test_case "batch rejects non-smooth len" `Quick
+           test_batch_rejects_non_smooth ]);
       ("fftnd",
        [ Alcotest.test_case "2d matches dft" `Quick test_fft2d_matches_dft;
          Alcotest.test_case "2d roundtrip" `Quick test_fft2d_roundtrip;
          Alcotest.test_case "3d roundtrip" `Quick test_fft3d_roundtrip;
          Alcotest.test_case "3d separable" `Quick test_fft3d_separable;
          Alcotest.test_case "fftshift" `Quick test_fftshift;
-         Alcotest.test_case "size mismatch" `Quick test_size_mismatch ]);
+         Alcotest.test_case "size mismatch" `Quick test_size_mismatch;
+         Alcotest.test_case "pruned = full, bitwise" `Quick
+           test_pruned_matches_full;
+         Alcotest.test_case "pruned line counts" `Quick
+           test_pruned_line_counts;
+         Alcotest.test_case "pruned validation" `Quick test_pruned_validation ]);
       ("properties", qtests) ]

@@ -149,15 +149,33 @@ let test_alloc_grid_2d () =
           Nufft.Gridding_slice.grid_2d ~table:tbl ~g ~t:8 ~gx ~gy values ) ]
 
 let test_alloc_fft () =
-  let n = 1024 in
-  let v =
-    Cvec.init n (fun k -> Numerics.Complexd.make (float_of_int k) 0.25)
+  let check what words =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s minor words per call (%g) <= %g" what words
+         alloc_ceiling)
+      true (words <= alloc_ceiling)
   in
-  let words = minor_words_of (fun () -> Fft.Fft1d.transform Fft.Dft.Forward v) in
-  Alcotest.(check bool)
-    (Printf.sprintf "fft n=%d minor words per call (%g) <= %g" n words
-       alloc_ceiling)
-    true (words <= alloc_ceiling)
+  (* radix-2 (1024) and mixed-radix (640 = 5 x 128) lines *)
+  List.iter
+    (fun n ->
+      let v =
+        Cvec.init n (fun k -> Numerics.Complexd.make (float_of_int k) 0.25)
+      in
+      check
+        (Printf.sprintf "fft n=%d" n)
+        (minor_words_of (fun () -> Fft.Fft1d.transform Fft.Dft.Forward v)))
+    [ 1024; 640 ];
+  (* the paper's 640^2 grid with a caller-owned scratch, as the serving
+     loop runs it *)
+  let g = 640 in
+  let grid =
+    Cvec.init (g * g) (fun k ->
+        Numerics.Complexd.make (float_of_int (k mod 13)) 0.25)
+  in
+  let scratch = Cvec.create (Fft.Fftnd.scratch_length ~len:g) in
+  check "fft 640^2 transform_2d ~scratch"
+    (minor_words_of (fun () ->
+         Fft.Fftnd.transform_2d ~scratch Fft.Dft.Forward ~nx:g ~ny:g grid))
 
 (* --- packed column check ---------------------------------------------- *)
 

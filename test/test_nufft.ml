@@ -788,9 +788,26 @@ let prop_tol_plan_adjoint_pair =
         else true
       end)
 
+(* Grid sizing: the smallest 5-smooth length >= round(sigma n). The
+   paper's grids keep their sizes; n = 17 moves off 34 = 2 * 17. *)
+let test_plan_grid_size () =
+  List.iter
+    (fun (n, sigma, g) ->
+      Alcotest.(check int)
+        (Printf.sprintf "grid_size n=%d sigma=%g" n sigma)
+        g
+        (Nufft.Plan.grid_size ~sigma ~n);
+      Alcotest.(check int)
+        (Printf.sprintf "Plan.make n=%d sigma=%g" n sigma)
+        g
+        (Nufft.Plan.make ~n ~sigma ()).Nufft.Plan.g)
+    [ (17, 2.0, 36); (256, 2.0, 512); (320, 2.0, 640); (32, 2.0, 64);
+      (16, 1.5, 24); (7, 2.0, 15) ]
+
 let test_nufft_non_pow2_sigma () =
-  (* sigma = 1.5 gives a non-power-of-two oversampled grid exercising the
-     Bluestein FFT inside the pipeline; wider window per Beatty. *)
+  (* sigma = 1.5 gives the non-power-of-two oversampled grid g = 24 =
+     2^3 * 3, exercising the mixed-radix FFT inside the pipeline; wider
+     window per Beatty. *)
   let err =
     let n = 16 and m = 60 in
     let plan = Nufft.Plan.make ~n ~sigma:1.5 ~w:7 ~l:1024 () in
@@ -1178,8 +1195,10 @@ let () =
            test_plan_default_width_tracks_sigma;
          Alcotest.test_case "ft_numeric panel convergence" `Quick
            test_ft_numeric_panels;
-         Alcotest.test_case "non-pow2 sigma (bluestein)" `Quick
-           test_nufft_non_pow2_sigma ]);
+         Alcotest.test_case "non-pow2 sigma (mixed radix)" `Quick
+           test_nufft_non_pow2_sigma;
+         Alcotest.test_case "grid size is 5-smooth" `Quick
+           test_plan_grid_size ]);
       ("gridding3d",
        [ Alcotest.test_case "direct = sliced" `Quick test_gridding3d_vs_sliced;
          Alcotest.test_case "parallel = sliced (all pool sizes)" `Quick

@@ -169,11 +169,13 @@ let prop_fft_batch =
     ~count:60
     QCheck.(
       quad (int_range 0 10_000) (* seed *)
-        (int_range 0 7) (* log2 len *)
+        (triple (int_range 0 7) (int_range 0 2) (int_range 0 2))
+        (* len = 2^a 3^b 5^c: b = c = 0 are the power-of-two cases *)
         (int_range 1 5) (* count *)
         (pair (int_range 0 9) bool) (* leading offset, direction *))
-    (fun (seed, logn, count, (off, fwd)) ->
-      let len = 1 lsl logn in
+    (fun (seed, (logn, b, c), count, (off, fwd)) ->
+      let rec pow x k = if k = 0 then 1 else x * pow x (k - 1) in
+      let len = (1 lsl logn) * pow 3 b * pow 5 c in
       let dir = if fwd then Fft.Dft.Forward else Fft.Dft.Inverse in
       let rng = Random.State.make [| seed |] in
       let base = rand_cvec rng (off + (count * len) + 3) in
