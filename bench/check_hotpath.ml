@@ -230,10 +230,11 @@ let check_static_rule breaches current =
 
 (* FFT size cliff: the serial inverse 2D FFT at 640^2 (n = 320, the
    paper's Image 4 grid) may take at most [fft_ratio_required] times the
-   512^2 time of the same run — the area ratio is 1.5625, so a
-   mixed-radix 640-point line passes and a Bluestein one (three
-   2048-point FFTs per line, ~20x) fails. The rows carry grid points per
-   second, so time = g^2 / samples_per_sec. *)
+   512^2 time of the same run — the area ratio is 1.5625, so 640-point
+   lines (one radix-5 pass over five 128-point radix-2 sub-lines) pass,
+   and a 640-point line costing ~1.3x more per point than a 512-point
+   one fails (a chirp-z line of three 2048-point FFTs read ~20x). The
+   rows carry grid points per second, so time = g^2 / samples_per_sec. *)
 let fft_ratio_required = 2.0
 
 let check_fft_ratio breaches current =

@@ -61,7 +61,8 @@ val adjoint_2d :
   Numerics.Cvec.t
 (** Full adjoint NuFFT with min-max interpolation: spread, inverse-FFT,
     crop, divide by the scaling factors (a no-op for [Uniform]). Returns
-    the [n x n] centred image. *)
+    the [n x n] centred image. [g] must be 5-smooth (as
+    {!Plan.grid_size} is), else the FFT raises [Invalid_argument]. *)
 
 val worst_case_error :
   ?scaling:scaling -> n:int -> g:int -> w:int -> float -> float

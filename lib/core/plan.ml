@@ -370,14 +370,13 @@ let compiled ?stats plan (samples : Sample.t) =
 let replay_pool ?pool plan =
   match pool with Some _ -> pool | None -> plan.pool
 
-let adjoint_compiled_timed ?stats ?pool ?simd plan samples =
+let adjoint_compiled_timed ?stats ?pool plan samples =
   let rpool = replay_pool ?pool plan in
-  let simd = match simd with Some s -> s | None -> plan.simd in
   let t0 = now () in
   let sp = compiled ?stats plan samples in
   let span = Gridding_stats.grid_span "grid.compiled-spread" in
   let grid =
-    Sample_plan.spread_parallel ?stats ?pool:rpool ~simd sp
+    Sample_plan.spread_parallel ?stats ?pool:rpool ~simd:plan.simd sp
       samples.Sample.values
   in
   Gridding_stats.end_span span;
@@ -385,20 +384,21 @@ let adjoint_compiled_timed ?stats ?pool ?simd plan samples =
   let dims = Sample.dims samples in
   inverse_cropped plan ~dims grid;
   let t2 = now () in
+  let span = Telemetry.span_begin ~cat:"deapod" "deapod" in
   let image =
     match dims with
     | 2 -> crop_deapodize_2d plan grid
     | _ -> crop_deapodize_3d plan grid
   in
+  Telemetry.span_end span;
   let t3 = now () in
   (image, { gridding_s = t1 -. t0; fft_s = t2 -. t1; deapod_s = t3 -. t2 })
 
-let adjoint_compiled ?stats ?pool ?simd plan samples =
-  fst (adjoint_compiled_timed ?stats ?pool ?simd plan samples)
+let adjoint_compiled ?stats ?pool plan samples =
+  fst (adjoint_compiled_timed ?stats ?pool plan samples)
 
-let forward_compiled ?stats ?pool ?simd plan ~coords image =
+let forward_compiled ?stats ?pool plan ~coords image =
   let rpool = replay_pool ?pool plan in
-  let simd = match simd with Some s -> s | None -> plan.simd in
   let sp = compiled ?stats plan coords in
   let dims = Sample.dims coords in
   let big =
@@ -406,7 +406,9 @@ let forward_compiled ?stats ?pool ?simd plan ~coords image =
   in
   forward_padded plan ~dims big;
   let span = Gridding_stats.grid_span "grid.compiled-gather" in
-  let out = Sample_plan.gather_parallel ?stats ?pool:rpool ~simd sp big in
+  let out =
+    Sample_plan.gather_parallel ?stats ?pool:rpool ~simd:plan.simd sp big
+  in
   Gridding_stats.end_span span;
   out
 

@@ -103,9 +103,8 @@ val make :
     within accumulation order).
 
     [simd] (default false) makes the [_compiled] transforms replay their
-    spread/gather streams through the {!Simd} C kernels by default (the
-    per-call [?simd] argument overrides it); it is a no-op when SIMD
-    dispatch is off ([JIGSAW_SIMD=off]). *)
+    spread/gather streams through the {!Simd} C kernels; it is a no-op
+    when SIMD dispatch is off ([JIGSAW_SIMD=off]). *)
 
 val resolve_geometry :
   ?tol:float ->
@@ -257,7 +256,6 @@ val compiled : ?stats:Gridding_stats.t -> plan -> Sample.t -> Sample_plan.t
 val adjoint_compiled :
   ?stats:Gridding_stats.t ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   plan ->
   Sample.t ->
   Numerics.Cvec.t
@@ -269,14 +267,13 @@ val adjoint_compiled :
     no pool anywhere means serial replay, so callers already running
     inside a pool cannot deadlock on a nested submission.
 
-    [simd] overrides the plan's default replay-SIMD flag for this call
-    (see {!make}); it affects only the spread/gather replay — FFT and
-    deapodization stages dispatch on {!Simd.enabled} globally. *)
+    The plan's [simd] flag (see {!make}) affects only the spread/gather
+    replay — FFT and deapodization stages dispatch on {!Simd.enabled}
+    globally. *)
 
 val adjoint_compiled_timed :
   ?stats:Gridding_stats.t ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   plan ->
   Sample.t ->
   Numerics.Cvec.t * timings
@@ -286,7 +283,6 @@ val adjoint_compiled_timed :
 val forward_compiled :
   ?stats:Gridding_stats.t ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   plan ->
   coords:Sample.t ->
   Numerics.Cvec.t ->

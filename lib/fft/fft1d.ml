@@ -14,13 +14,6 @@ let[@inline] set_parts (v : Cvec.t) k re im =
   A1.unsafe_set v j re;
   A1.unsafe_set v (j + 1) im
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let next_pow2 n =
-  if n < 1 then invalid_arg "Fft1d.next_pow2";
-  let rec go m = if m >= n then m else go (m * 2) in
-  go 1
-
 let rec strip f n = if n mod f = 0 then strip f (n / f) else n
 
 let is_smooth n = n > 0 && strip 5 (strip 3 (strip 2 n)) = 1
@@ -30,53 +23,46 @@ let next_smooth n =
   let rec go m = if is_smooth m then m else go (m + 1) in
   go n
 
-(* Caches, keyed by (n, sign). The tables are tiny relative to the data and
-   the cache makes repeated transforms of the same size (2D row/column
-   passes, iterative reconstruction) allocation-free. A mutex guards the
-   hashtables so concurrent line transforms from a domain pool cannot
-   corrupt them; the tables themselves are immutable once published.
+(* {2 Plans}
 
-   The build runs *outside* the lock: under the domain pool the first large
-   transform would otherwise serialize every worker behind one table
-   build. Workers that miss concurrently each build a candidate table, then
-   re-check under the lock and all adopt whichever table was inserted
-   first (the tables are deterministic, so the losers' work is identical
-   and simply dropped).
+   Every line runs one algorithm, decimation in time with the radix-3/5
+   factors outermost: a line of length n = p * m (p = 2^a, m = 3^b 5^c)
+   is permuted in place so that the m decimated sub-sequences of length p
+   sit back to back, those m sub-lines run through radix-2 butterflies,
+   and radix-3/5 passes then combine blocks of length L into blocks of
+   length rL until the whole line is done. A 640-point line is one
+   radix-5 pass over five 128-point sub-lines; a power of two is one
+   sub-line and no passes.
 
-   The hit path allocates nothing: int-keyed tables (one table per
-   transform direction instead of an [(n, sign)] tuple key) looked up with
-   [Hashtbl.find] under an exception match, and the table constructor
-   passed as a closed top-level function, so a warm serving loop pays no
-   per-line closure, tuple or [Some] box. *)
-let cache_mutex = Mutex.create ()
+   The permutation is the mixed-radix digit reversal: with radices
+   r1 (outermost) .. rk, element i of a length-(r1 N') problem goes to
+   block (i mod r1) of length N' at the recursive position of i / r1,
+   down to the bit-reversed position inside its radix-2 sub-line.
+   It is applied in place by following its cycles, so a line needs no
+   second buffer. A power of two has no cycles: its bit reversal is the
+   radix-2 kernel's own swap loop, driven by the sub-line table.
 
-let cache_adopt cache key candidate =
-  Mutex.lock cache_mutex;
-  let adopted =
-    match Hashtbl.find_opt cache key with
-    | Some winner -> winner
-    | None ->
-        Hashtbl.add cache key candidate;
-        candidate
-  in
-  Mutex.unlock cache_mutex;
-  adopted
+   The plan is flat int/float arrays so the same tables drive the OCaml
+   passes below and {!Simd.fft_mixed_batch}, which mirrors them
+   operation for operation. *)
 
-let cached cache n sgn build =
-  Mutex.lock cache_mutex;
-  match Hashtbl.find cache n with
-  | t ->
-      Mutex.unlock cache_mutex;
-      t
-  | exception Not_found ->
-      Mutex.unlock cache_mutex;
-      cache_adopt cache n (build n sgn)
-
-(* One table per direction: [fwd] for sign -1, [inv] for sign +1. *)
-type 'a per_sign = { fwd : (int, 'a) Hashtbl.t; inv : (int, 'a) Hashtbl.t }
-
-let per_sign () = { fwd = Hashtbl.create 16; inv = Hashtbl.create 16 }
-let[@inline] by_sign c sgn = if sgn < 0 then c.fwd else c.inv
+type plan = {
+  rev : int array;
+      (* sub-line table, length p: the bit reversal for a power of two,
+         else the identity (the cycles already bit-reverse) *)
+  tw : float array;  (* interleaved e^{sgn 2 pi i j / p}, j < p / 2 *)
+  perm : int array;
+      (* permutation cycles, each as its length then its positions (read
+         from the next position in the cycle); fixed points omitted *)
+  stages : int array;
+      (* (radix, span L, twiddle offset in [stw]) per pass, innermost
+         first *)
+  stw : float array;
+      (* k3 = sgn sin(2pi/3), cos(2pi/5), cos(4pi/5), sgn sin(2pi/5),
+         sgn sin(4pi/5), then per pass the interleaved w_{rL}^{pq} for
+         1 <= p < r, q < L at offset + 2 ((p-1) L + q): consecutive q
+         are adjacent, so the C kernel loads two twiddles at once *)
+}
 
 (* e^{sgn 2 pi i k / n}, with [k] reduced mod [n] so the angle stays in
    [0, 2 pi) and accurate. *)
@@ -93,10 +79,7 @@ let build_twiddles n sgn =
   done;
   t
 
-let twiddle_cache : float array per_sign = per_sign ()
-let twiddles n sgn = cached (by_sign twiddle_cache sgn) n sgn build_twiddles
-
-let build_bitrev n _ =
+let build_bitrev n =
   let bits =
     let rec go b m = if m = 1 then b else go (b + 1) (m / 2) in
     go 0 n
@@ -109,11 +92,131 @@ let build_bitrev n _ =
       done;
       !r)
 
-let bitrev_cache : (int, int array) Hashtbl.t = Hashtbl.create 16
-let bitrev_table n = cached bitrev_cache n 0 build_bitrev
+let rec factors m =
+  if m mod 5 = 0 then 5 :: factors (m / 5)
+  else if m mod 3 = 0 then 3 :: factors (m / 3)
+  else []
 
-(* One radix-2 line at complex offset [off] of a larger buffer, with the
-   tables passed in (the batched callers look them up once per batch). *)
+(* The digit-reversal cycles of a length-n line with radix-3/5 factors
+   [radices] (outermost first) over 2^a-point sub-lines whose bit
+   reversal is [rev]. *)
+let digit_reversal_cycles n radices rev =
+  (* Digit-reversed position of input index i, including the bit
+     reversal inside its radix-2 sub-line. *)
+  let rec pos i len = function
+    | [] -> rev.(i)
+    | r :: rest ->
+        let sub = len / r in
+        ((i mod r) * sub) + pos (i / r) sub rest
+  in
+  (* Position p is pulled from [src.(p)]. *)
+  let src = Array.make n 0 in
+  for i = 0 to n - 1 do
+    src.(pos i n radices) <- i
+  done;
+  let seen = Array.make n false in
+  let perm = ref [] in
+  for p0 = 0 to n - 1 do
+    if (not seen.(p0)) && src.(p0) <> p0 then begin
+      let cycle = ref [] and p = ref p0 in
+      while not seen.(!p) do
+        seen.(!p) <- true;
+        cycle := !p :: !cycle;
+        p := src.(!p)
+      done;
+      perm := (List.length !cycle :: List.rev !cycle) :: !perm
+    end
+  done;
+  Array.of_list (List.concat (List.rev !perm))
+
+let build_plan n sgn =
+  let pow2 = n / strip 2 n in
+  let radices = factors (n / pow2) in
+  let bitrev = build_bitrev pow2 in
+  let rev, perm =
+    if radices = [] then (bitrev, [||])
+    else (Array.init pow2 Fun.id, digit_reversal_cycles n radices bitrev)
+  in
+  let s = float_of_int sgn in
+  let consts =
+    [| s *. sin (2.0 *. Float.pi /. 3.0);
+       cos (2.0 *. Float.pi /. 5.0);
+       cos (4.0 *. Float.pi /. 5.0);
+       s *. sin (2.0 *. Float.pi /. 5.0);
+       s *. sin (4.0 *. Float.pi /. 5.0) |]
+  in
+  let stages = ref [] and tables = ref [ consts ] in
+  let span = ref pow2 and toff = ref (Array.length consts) in
+  List.iter
+    (fun r ->
+      let l = !span in
+      let t = Array.make (2 * l * (r - 1)) 0.0 in
+      for q = 0 to l - 1 do
+        for p = 1 to r - 1 do
+          let theta = angle sgn (p * q) (r * l) in
+          let k = 2 * (((p - 1) * l) + q) in
+          t.(k) <- cos theta;
+          t.(k + 1) <- sin theta
+        done
+      done;
+      stages := !stages @ [ r; l; !toff ];
+      tables := t :: !tables;
+      toff := !toff + Array.length t;
+      span := r * l)
+    (List.rev radices);
+  {
+    rev;
+    tw = build_twiddles pow2 sgn;
+    perm;
+    stages = Array.of_list !stages;
+    stw = Array.concat (List.rev !tables);
+  }
+
+(* The plan cache, keyed by (n, sign): one table per direction ([fwd]
+   for sign -1, [inv] for sign +1). Plans are tiny relative to the data
+   and the cache makes repeated transforms of the same size (2D
+   row/column passes, iterative reconstruction) allocation-free. A mutex
+   guards the hashtables so concurrent line transforms from a domain pool
+   cannot corrupt them; a plan is immutable once published.
+
+   The build runs *outside* the lock: under the domain pool the first large
+   transform would otherwise serialize every worker behind one plan
+   build. Workers that miss concurrently each build a candidate plan, then
+   re-check under the lock and all adopt whichever plan was inserted
+   first (plans are deterministic, so the losers' work is identical and
+   simply dropped).
+
+   The hit path allocates nothing: int-keyed tables looked up with
+   [Hashtbl.find] under an exception match, so a warm serving loop pays
+   no per-line closure, tuple or [Some] box. *)
+let cache_mutex = Mutex.create ()
+let fwd_plans : (int, plan) Hashtbl.t = Hashtbl.create 16
+let inv_plans : (int, plan) Hashtbl.t = Hashtbl.create 16
+
+let plan n sgn =
+  let cache = if sgn < 0 then fwd_plans else inv_plans in
+  Mutex.lock cache_mutex;
+  match Hashtbl.find cache n with
+  | t ->
+      Mutex.unlock cache_mutex;
+      t
+  | exception Not_found ->
+      Mutex.unlock cache_mutex;
+      let candidate = build_plan n sgn in
+      Mutex.lock cache_mutex;
+      let adopted =
+        match Hashtbl.find_opt cache n with
+        | Some winner -> winner
+        | None ->
+            Hashtbl.add cache n candidate;
+            candidate
+      in
+      Mutex.unlock cache_mutex;
+      adopted
+
+(* One 2^a-point (sub-)line at complex offset [off] of a larger buffer:
+   the swaps of [rev] (a no-op for the identity table), then the radix-2
+   butterflies over the twiddles [tw]. *)
 let radix2_at v rev tw ~off ~n =
   for i = 0 to n - 1 do
     let j = Array.unsafe_get rev i in
@@ -147,133 +250,6 @@ let radix2_at v rev tw ~off ~n =
     done;
     len := !len * 2
   done
-
-(* [count] contiguous power-of-two lines starting at complex offset
-   [off]. When SIMD dispatch is on the whole batch goes through one C
-   call ({!Simd.fft_batch} mirrors the butterfly loop exactly, so the
-   result is bit-identical); otherwise each line runs the OCaml
-   butterflies in place. *)
-let radix2_lines sgn v ~off ~count ~n =
-  if n > 1 && count > 0 then begin
-    let rev = bitrev_table n in
-    let tw = twiddles n sgn in
-    if Simd.enabled () then Simd.fft_batch v rev tw off count
-    else
-      for l = 0 to count - 1 do
-        radix2_at v rev tw ~off:(off + (l * n)) ~n
-      done
-  end
-
-(* {2 Mixed radix: n = 2^a * 3^b * 5^c}
-
-   Decimation in time with the radix-3/5 factors outermost: a line of
-   length n = p * m (p = 2^a, m = 3^b 5^c > 1) is permuted in place so
-   that the m decimated sub-sequences of length p sit back to back, those
-   m sub-lines run through the radix-2 butterflies of power-of-two lines,
-   and radix-3/5 passes then combine blocks of length L into blocks of
-   length rL until the whole line is done. A 640-point line is one
-   radix-5 pass over five 128-point sub-lines.
-
-   The permutation is the mixed-radix digit reversal: with radices
-   r1 (outermost) .. rk, element i of a length-(r1 N') problem goes to
-   block (i mod r1) of length N' at the recursive position of i / r1,
-   down to the bit-reversed position inside its radix-2 sub-line.
-   It is applied in place by following its cycles, so a line needs no
-   second buffer.
-
-   The plan is flat int/float arrays so the same tables drive the OCaml
-   passes below and {!Simd.fft_mixed_batch}, which mirrors them
-   operation for operation. *)
-
-type mixed = {
-  pow2 : int;  (* p: length of the radix-2 sub-lines *)
-  ident : int array;  (* identity "bit reversal" for the sub-lines *)
-  perm : int array;
-      (* permutation cycles, each as its length then its positions (read
-         from the next position in the cycle); fixed points omitted *)
-  stages : int array;
-      (* (radix, span L, twiddle offset in [stw]) per pass, innermost
-         first *)
-  stw : float array;
-      (* k3 = sgn sin(2pi/3), cos(2pi/5), cos(4pi/5), sgn sin(2pi/5),
-         sgn sin(4pi/5), then per pass the interleaved w_{rL}^{pq} for
-         1 <= p < r, q < L at offset + 2 ((p-1) L + q): consecutive q
-         are adjacent, so the C kernel loads two twiddles at once *)
-}
-
-let build_mixed n sgn =
-  let pow2 = n / strip 2 n in
-  let rec factors m =
-    if m mod 5 = 0 then 5 :: factors (m / 5)
-    else if m mod 3 = 0 then 3 :: factors (m / 3)
-    else []
-  in
-  let radices = factors (n / pow2) in
-  (* Digit-reversed position of input index i, including the bit
-     reversal inside its radix-2 sub-line — one permutation, so the
-     butterflies then run with the identity table [ident]. *)
-  let rev = build_bitrev pow2 0 in
-  let rec pos i len = function
-    | [] -> rev.(i)
-    | r :: rest ->
-        let sub = len / r in
-        ((i mod r) * sub) + pos (i / r) sub rest
-  in
-  (* Position p is pulled from [src.(p)]. *)
-  let src = Array.make n 0 in
-  for i = 0 to n - 1 do
-    src.(pos i n radices) <- i
-  done;
-  let seen = Array.make n false in
-  let perm = ref [] in
-  for p0 = 0 to n - 1 do
-    if (not seen.(p0)) && src.(p0) <> p0 then begin
-      let cycle = ref [] and p = ref p0 in
-      while not seen.(!p) do
-        seen.(!p) <- true;
-        cycle := !p :: !cycle;
-        p := src.(!p)
-      done;
-      perm := (List.length !cycle :: List.rev !cycle) :: !perm
-    end
-  done;
-  let s = float_of_int sgn in
-  let consts =
-    [| s *. sin (2.0 *. Float.pi /. 3.0);
-       cos (2.0 *. Float.pi /. 5.0);
-       cos (4.0 *. Float.pi /. 5.0);
-       s *. sin (2.0 *. Float.pi /. 5.0);
-       s *. sin (4.0 *. Float.pi /. 5.0) |]
-  in
-  let stages = ref [] and tables = ref [ consts ] in
-  let span = ref pow2 and toff = ref (Array.length consts) in
-  List.iter
-    (fun r ->
-      let l = !span in
-      let t = Array.make (2 * l * (r - 1)) 0.0 in
-      for q = 0 to l - 1 do
-        for p = 1 to r - 1 do
-          let theta = angle sgn (p * q) (r * l) in
-          let k = 2 * (((p - 1) * l) + q) in
-          t.(k) <- cos theta;
-          t.(k + 1) <- sin theta
-        done
-      done;
-      stages := !stages @ [ r; l; !toff ];
-      tables := t :: !tables;
-      toff := !toff + Array.length t;
-      span := r * l)
-    (List.rev radices);
-  {
-    pow2;
-    ident = Array.init pow2 Fun.id;
-    perm = Array.of_list (List.concat (List.rev !perm));
-    stages = Array.of_list !stages;
-    stw = Array.concat (List.rev !tables);
-  }
-
-let mixed_cache : mixed per_sign = per_sign ()
-let mixed_plan n sgn = cached (by_sign mixed_cache sgn) n sgn build_mixed
 
 let permute_at v perm ~off =
   let k = ref 0 in
@@ -368,127 +344,49 @@ let radix5_pass v stw ~tw ~l ~off ~n =
     base := !base + (5 * l)
   done
 
-(* [count] contiguous 5-smooth, non-power-of-two lines, each in place:
-   permute, radix-2 sub-lines, radix-3/5 passes — line by line, so each
-   line stays cache-resident across its passes. With SIMD dispatch on,
-   the whole batch is one {!Simd.fft_mixed_batch} call running the same
-   passes. *)
-let mixed_lines sgn v ~off ~count ~n =
-  let mx = mixed_plan n sgn in
-  let p = mx.pow2 in
-  let rev = mx.ident and tw2 = twiddles p sgn in
+(* [count] contiguous lines of length [n] (5-smooth, > 1), each in
+   place: permute, radix-2 sub-lines, radix-3/5 passes — line by line, so
+   each line stays cache-resident across its passes. With SIMD dispatch
+   on, the whole batch is one {!Simd.fft_mixed_batch} call running the
+   same passes. *)
+let lines sgn v ~off ~count ~n =
+  let pl = plan n sgn in
   if Simd.enabled () then
-    Simd.fft_mixed_batch v mx.perm mx.stages mx.stw rev tw2 off count n
+    Simd.fft_mixed_batch v pl.perm pl.stages pl.stw pl.rev pl.tw off count n
   else
+    let p = Array.length pl.rev in
     for line = 0 to count - 1 do
       let off = off + (line * n) in
-      permute_at v mx.perm ~off;
+      permute_at v pl.perm ~off;
       if p > 1 then
         for s = 0 to (n / p) - 1 do
-          radix2_at v rev tw2 ~off:(off + (s * p)) ~n:p
+          radix2_at v pl.rev pl.tw ~off:(off + (s * p)) ~n:p
         done;
-      for s = 0 to (Array.length mx.stages / 3) - 1 do
-        let l = Array.unsafe_get mx.stages ((3 * s) + 1)
-        and tw = Array.unsafe_get mx.stages ((3 * s) + 2) in
-        if Array.unsafe_get mx.stages (3 * s) = 3 then
-          radix3_pass v mx.stw ~tw ~l ~off ~n
-        else radix5_pass v mx.stw ~tw ~l ~off ~n
+      for s = 0 to (Array.length pl.stages / 3) - 1 do
+        let l = Array.unsafe_get pl.stages ((3 * s) + 1)
+        and tw = Array.unsafe_get pl.stages ((3 * s) + 2) in
+        if Array.unsafe_get pl.stages (3 * s) = 3 then
+          radix3_pass v pl.stw ~tw ~l ~off ~n
+        else radix5_pass v pl.stw ~tw ~l ~off ~n
       done
     done
-
-let smooth_lines sgn v ~off ~count ~n =
-  if is_pow2 n then radix2_lines sgn v ~off ~count ~n
-  else mixed_lines sgn v ~off ~count ~n
-
-(* {2 Bluestein chirp-z, for lengths with a prime factor above 5}
-
-   X_k = c_k * circular-convolution(u, w)_k with u_j = x_j c_j,
-   c_j = e^{s pi i j^2 / n}, w_j = conj(c_j) wrapped symmetrically into a
-   length-m circular buffer, m = next_pow2 (2n - 1). The chirp and the
-   spectrum of w (pre-scaled by 1/m) depend only on (n, sign), so they are
-   cached; a call pays one forward and one inverse m-point FFT. The m-point
-   work buffer is a spare kept with the cached tables and borrowed through
-   an atomic flag; a concurrent caller that finds it taken allocates its
-   own. *)
-
-type chirp = {
-  m : int;
-  chirp : float array;  (* interleaved c_j, j < n *)
-  filter : Cvec.t;  (* FFT_m(w) / m *)
-  spare : Cvec.t;
-  busy : bool Atomic.t;
-}
-
-let build_chirp n sgn =
-  let m = next_pow2 ((2 * n) - 1) in
-  (* j^2 mod 2n keeps the angle argument small and accurate. *)
-  let chirp = Array.make (2 * n) 0.0 in
-  for j = 0 to n - 1 do
-    let theta = angle sgn (j * j mod (2 * n)) (2 * n) in
-    chirp.(2 * j) <- cos theta;
-    chirp.((2 * j) + 1) <- sin theta
-  done;
-  let filter = Cvec.create m in
-  let scale = 1.0 /. float_of_int m in
-  for j = 0 to n - 1 do
-    let cr = chirp.(2 * j) *. scale and ci = -.chirp.((2 * j) + 1) *. scale in
-    set_parts filter j cr ci;
-    if j > 0 then set_parts filter (m - j) cr ci
-  done;
-  radix2_lines (-1) filter ~off:0 ~count:1 ~n:m;
-  { m; chirp; filter; spare = Cvec.create m; busy = Atomic.make false }
-
-let chirp_cache : chirp per_sign = per_sign ()
-
-let bluestein sgn v =
-  let n = Cvec.length v in
-  let c = cached (by_sign chirp_cache sgn) n sgn build_chirp in
-  let m = c.m and ch = c.chirp and f = c.filter in
-  let borrowed = Atomic.compare_and_set c.busy false true in
-  let u = if borrowed then c.spare else Cvec.create m in
-  for j = 0 to n - 1 do
-    let cr = Array.unsafe_get ch (2 * j)
-    and ci = Array.unsafe_get ch ((2 * j) + 1) in
-    let xr = get_re v j and xi = get_im v j in
-    set_parts u j ((xr *. cr) -. (xi *. ci)) ((xr *. ci) +. (xi *. cr))
-  done;
-  for j = 2 * n to (2 * m) - 1 do
-    A1.unsafe_set u j 0.0
-  done;
-  radix2_lines (-1) u ~off:0 ~count:1 ~n:m;
-  for j = 0 to m - 1 do
-    let ar = get_re u j and ai = get_im u j in
-    let br = get_re f j and bi = get_im f j in
-    set_parts u j ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br))
-  done;
-  radix2_lines 1 u ~off:0 ~count:1 ~n:m;
-  for k = 0 to n - 1 do
-    let cr = Array.unsafe_get ch (2 * k)
-    and ci = Array.unsafe_get ch ((2 * k) + 1) in
-    let ur = get_re u k and ui = get_im u k in
-    set_parts v k ((ur *. cr) -. (ui *. ci)) ((ur *. ci) +. (ui *. cr))
-  done;
-  if borrowed then Atomic.set c.busy false
 
 let c_transforms = Telemetry.Counter.make "fft.1d_transforms"
 
 let transform dir v =
   let n = Cvec.length v in
-  let sgn = int_of_float (Dft.sign dir) in
+  if not (is_smooth n) then
+    invalid_arg "Fft1d.transform: length must be 2^a * 3^b * 5^c";
   Telemetry.Counter.incr c_transforms;
-  if n <= 1 then ()
-  else if is_smooth n then smooth_lines sgn v ~off:0 ~count:1 ~n
-  else bluestein sgn v
+  if n > 1 then lines (int_of_float (Dft.sign dir)) v ~off:0 ~count:1 ~n
 
 let transform_batch dir v ~off ~count ~len =
-  if len < 1 then invalid_arg "Fft1d.transform_batch: len < 1";
   if not (is_smooth len) then
     invalid_arg "Fft1d.transform_batch: len must be 2^a * 3^b * 5^c";
   if count < 0 || off < 0 || off + (count * len) > Cvec.length v then
     invalid_arg "Fft1d.transform_batch: line range out of bounds";
   Telemetry.Counter.add c_transforms count;
-  if len > 1 then
-    smooth_lines (int_of_float (Dft.sign dir)) v ~off ~count ~n:len
+  if len > 1 then lines (int_of_float (Dft.sign dir)) v ~off ~count ~n:len
 
 let transformed dir v =
   let c = Cvec.copy v in

@@ -1,27 +1,19 @@
-(** 1D complex fast Fourier transform.
+(** 1D complex fast Fourier transform for 5-smooth lengths.
 
-    Supported lengths:
-    - powers of two run an iterative radix-2 decimation-in-time transform
-      with cached twiddle factors and bit-reversal tables;
-    - every other 5-smooth length n = 2^a * 3^b * 5^c permutes the line in
-      place (mixed-radix digit reversal), runs its 2^a-point sub-lines
-      through the same radix-2 kernel, then combines them with radix-3 and
-      radix-5 passes — a 640-point line is one radix-5 pass over five
-      128-point sub-lines;
-    - any other length falls back to Bluestein's chirp-z algorithm (two
-      power-of-two FFTs per call, chirp and filter spectrum cached per
-      length and direction).
+    Supported lengths are n = 2^a * 3^b * 5^c; any other length raises
+    [Invalid_argument] before the buffer is touched. Every line runs one
+    in-place algorithm from a plan cached per length and direction:
+    permute the line (mixed-radix digit reversal), run its 2^a-point
+    sub-lines through radix-2 butterflies, then combine them with radix-3
+    and radix-5 passes. A 640-point line is one radix-5 pass over five
+    128-point sub-lines; a power of two is one sub-line and no passes.
 
     [Plan.make] sizes its oversampled grids to 5-smooth lengths
-    ({!next_smooth}), so planned transforms never reach Bluestein; only
-    direct callers at other lengths do.
+    ({!next_smooth}), as FINUFFT does, so every planned transform is
+    supported.
 
     Transforms are unnormalised (like FFTW): [transform Inverse
     (transform Forward v)] equals [n * v]. *)
-
-val is_pow2 : int -> bool
-val next_pow2 : int -> int
-(** Smallest power of two >= the argument (argument must be >= 1). *)
 
 val is_smooth : int -> bool
 (** [n >= 1] has no prime factor above 5 (n = 2^a * 3^b * 5^c). *)
@@ -30,10 +22,9 @@ val next_smooth : int -> int
 (** Smallest 5-smooth integer >= the argument (argument must be >= 1). *)
 
 val transform : Dft.direction -> Numerics.Cvec.t -> unit
-(** In-place FFT of the whole vector. Any length >= 1. Power-of-two and
-    other 5-smooth lengths dispatch through the {!Simd} kernels
-    ({!Simd.fft_batch}, {!Simd.fft_mixed_batch}) when SIMD is active,
-    bit-identical to the OCaml passes. *)
+(** In-place FFT of the whole vector. The length must be 5-smooth, else
+    [Invalid_argument]. Dispatches through {!Simd.fft_mixed_batch} when
+    SIMD is active, bit-identical to the OCaml passes. *)
 
 val transform_batch :
   Dft.direction -> Numerics.Cvec.t -> off:int -> count:int -> len:int -> unit

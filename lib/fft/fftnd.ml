@@ -16,38 +16,22 @@ let[@inline] set_parts (v : Cvec.t) k re im =
 let check_size name n v =
   if Cvec.length v <> n then invalid_arg (name ^ ": size mismatch")
 
+(* Every axis length is checked before any pass runs, so an unsupported
+   length leaves the buffer untouched. *)
+let check_axis name len =
+  if not (Fft1d.is_smooth len) then
+    invalid_arg (name ^ ": length must be 2^a * 3^b * 5^c")
+
 let c_lines = Telemetry.Counter.make "fft.lines"
 
-(* Transform [count] lines of [len] elements with stride [stride] complex
-   elements between consecutive points of a line; [line_start k] gives the
-   linear index of line k's first element. A scratch buffer gathers each
-   strided line so the 1D kernel always works on contiguous data. *)
-let transform_line dir ~len ~stride scratch v base =
-  if stride = 1 then begin
-    Cvec.blit_complex ~src:v ~src_pos:base ~dst:scratch ~dst_pos:0 ~len;
-    Fft1d.transform dir scratch;
-    Cvec.blit_complex ~src:scratch ~src_pos:0 ~dst:v ~dst_pos:base ~len
-  end
-  else begin
-    for j = 0 to len - 1 do
-      let src = base + (j * stride) in
-      set_parts scratch j (get_re v src) (get_im v src)
-    done;
-    Fft1d.transform dir scratch;
-    for j = 0 to len - 1 do
-      let dst = base + (j * stride) in
-      set_parts v dst (get_re scratch j) (get_im scratch j)
-    done
-  end
-
-(* Strided lines of a 5-smooth length are gathered [line_block] at a
-   time, side by side, into a [line_block * len] scratch: the lines of
-   one block are neighbouring columns, so each gather step reads a few
-   adjacent complex values (one or two cache lines) instead of one value
-   per cache line, and a power-of-2 row stride no longer maps every
-   gathered point to the same cache set. The block is transformed in
-   place by {!Fft1d.transform_batch} and scattered back. Each line sees
-   exactly the arithmetic of a one-line transform. *)
+(* Strided lines are gathered [line_block] at a time, side by side, into
+   a [line_block * len] scratch: the lines of one block are neighbouring
+   columns, so each gather step reads a few adjacent complex values (one
+   or two cache lines) instead of one value per cache line, and a
+   power-of-2 row stride no longer maps every gathered point to the same
+   cache set. The block is transformed in place by
+   {!Fft1d.transform_batch} and scattered back. Each line sees exactly
+   the arithmetic of a one-line transform. *)
 let line_block = 8
 let scratch_length ~len = line_block * len
 
@@ -72,11 +56,10 @@ let transform_block dir ~len ~stride ~line_start starts scratch v lo hi =
     done
   done
 
-(* A stride-1 pass over a 5-smooth length needs no scratch: each maximal
-   run of back-to-back lines ([line_start (k+1) = line_start k + len],
-   the layout of every contiguous row pass) goes through
-   {!Fft1d.transform_batch} in place — one C call per run when SIMD
-   dispatch is on. *)
+(* A stride-1 pass needs no scratch: each maximal run of back-to-back
+   lines ([line_start (k+1) = line_start k + len], the layout of every
+   contiguous row pass) goes through {!Fft1d.transform_batch} in place —
+   one C call per run when SIMD dispatch is on. *)
 let in_place_runs dir v ~len ~line_start lo hi =
   let k = ref lo in
   while !k < hi do
@@ -89,16 +72,9 @@ let in_place_runs dir v ~len ~line_start lo hi =
     k := !j
   done
 
-(* How one pass moves its lines: in place (stride 1, 5-smooth), in
-   gathered blocks (strided, 5-smooth), or one gathered line at a time
-   through {!Fft1d.transform} (lengths with a prime factor above 5,
-   which take the Bluestein path). *)
-type layout = In_place | Blocked | Single
-
-let layout ~len ~stride =
-  if not (Fft1d.is_smooth len) then Single
-  else if stride = 1 then In_place
-  else Blocked
+(* How one pass moves its lines: in place (stride 1) or in gathered
+   blocks (strided). *)
+type layout = In_place | Blocked
 
 (* Block scratch for passes without a usable caller buffer (every pooled
    chunk, and serial passes given none) comes from a small shared free
@@ -135,19 +111,13 @@ let give_back s =
 
    [scratch] lets a serving loop donate a preallocated buffer so the
    serial pass touches no shared state: it is used when the pass is
-   serial (pooled chunks need private buffers) and the buffer is long
-   enough — [scratch_length ~len] for a blocked pass, exactly [len] for
-   a single-line pass ({!Fft1d.transform} transforms the whole
-   buffer). *)
+   serial (pooled chunks need private buffers) and holds at least
+   [scratch_length ~len] elements. *)
 let no_scratch = Cvec.create 0
 
 let with_scratch ?scratch layout ~len f =
   match layout with
   | In_place -> f no_scratch
-  | Single -> (
-      match scratch with
-      | Some s when Cvec.length s = len -> f s
-      | _ -> f (Cvec.create len))
   | Blocked -> (
       let need = scratch_length ~len in
       match scratch with
@@ -159,10 +129,6 @@ let with_scratch ?scratch layout ~len f =
 let run_range layout dir ~len ~stride ~line_start scratch v lo hi =
   match layout with
   | In_place -> in_place_runs dir v ~len ~line_start lo hi
-  | Single ->
-      for k = lo to hi - 1 do
-        transform_line dir ~len ~stride scratch v (line_start k)
-      done
   | Blocked ->
       let starts = Array.make line_block 0 in
       let b = ref lo in
@@ -175,7 +141,7 @@ let run_range layout dir ~len ~stride ~line_start scratch v lo hi =
 let transform_lines ?pool ?scratch dir ~len ~count ~stride ~line_start v =
   let sp = Telemetry.span_begin ~cat:"fft" "fft.pass" in
   Telemetry.Counter.add c_lines count;
-  let layout = layout ~len ~stride in
+  let layout = if stride = 1 then In_place else Blocked in
   let run lo hi s =
     run_range layout dir ~len ~stride ~line_start s v lo hi
   in
@@ -188,6 +154,8 @@ let transform_lines ?pool ?scratch dir ~len ~count ~stride ~line_start v =
 
 let transform_2d ?pool ?scratch dir ~nx ~ny v =
   check_size "Fftnd.transform_2d" (nx * ny) v;
+  check_axis "Fftnd.transform_2d" nx;
+  check_axis "Fftnd.transform_2d" ny;
   let sp = Telemetry.span_begin ~cat:"fft" "fft.2d" in
   transform_lines ?pool ?scratch dir ~len:nx ~count:ny ~stride:1
     ~line_start:(fun y -> y * nx) v;
@@ -197,6 +165,9 @@ let transform_2d ?pool ?scratch dir ~nx ~ny v =
 
 let transform_3d ?pool ?scratch dir ~nx ~ny ~nz v =
   check_size "Fftnd.transform_3d" (nx * ny * nz) v;
+  check_axis "Fftnd.transform_3d" nx;
+  check_axis "Fftnd.transform_3d" ny;
+  check_axis "Fftnd.transform_3d" nz;
   let sp = Telemetry.span_begin ~cat:"fft" "fft.3d" in
   transform_lines ?pool ?scratch dir ~len:nx ~count:(ny * nz) ~stride:1
     ~line_start:(fun k -> k * nx) v;
@@ -221,7 +192,8 @@ let kept ~g ~n =
 let check_crop name ~dims ~g ~n v =
   if dims < 2 || dims > 3 then invalid_arg (name ^ ": dims must be 2 or 3");
   if n < 1 || n > g then invalid_arg (name ^ ": need 1 <= n <= g");
-  check_size name (if dims = 2 then g * g else g * g * g) v
+  check_size name (if dims = 2 then g * g else g * g * g) v;
+  check_axis name g
 
 (* Adjoint side: every line of the first axis, then only the lines that
    end on indices the crop reads. Each transformed line is the same line

@@ -2,8 +2,9 @@
 
     Arrays are row-major: a 2D array of [ny] rows and [nx] columns stores
     element [(x, y)] at linear index [y*nx + x]; a 3D array of [nz] slices
-    stores [(x, y, z)] at [(z*ny + y)*nx + x]. Any per-dimension length is
-    supported (see {!Fft1d}). Transforms are unnormalised. *)
+    stores [(x, y, z)] at [(z*ny + y)*nx + x]. Every per-dimension length
+    must be 5-smooth (see {!Fft1d}), else [Invalid_argument] before the
+    buffer is touched. Transforms are unnormalised. *)
 
 val scratch_length : len:int -> int
 (** Length of the caller-owned [?scratch] buffer that lets every serial
@@ -19,13 +20,11 @@ val transform_2d :
     pool's domains (they write disjoint index sets, so the pass is
     race-free); the result is bit-identical to the serial transform.
     With [scratch], serial passes gather lines into that caller-owned
-    buffer instead of allocating one — the pooled-workspace hook. For
-    5-smooth lengths it must hold [scratch_length ~len] elements (strided
-    passes gather blocks of neighbouring lines); for other lengths
-    exactly [len]. A shorter buffer, or a pooled pass, uses a block
-    buffer from a small shared free list (a fresh one for other lengths).
-    Contiguous row passes over 5-smooth lengths need no scratch: they
-    transform in place through {!Fft1d.transform_batch}. *)
+    buffer instead of allocating one — the pooled-workspace hook. It must
+    hold [scratch_length ~len] elements (strided passes gather blocks of
+    neighbouring lines); a shorter buffer, or a pooled pass, uses a block
+    buffer from a small shared free list. Contiguous row passes need no
+    scratch: they transform in place through {!Fft1d.transform_batch}. *)
 
 val transform_3d :
   ?pool:Runtime.Pool.t ->
@@ -45,7 +44,7 @@ val transform_cropped :
     in 2D instead of [2g], [g^2 + g n + n^2] in 3D instead of [3 g^2].
     Values on every cropped index are bit-identical to the full
     transform; the rest of [v] is left partially transformed. [dims] is
-    2 or 3, [1 <= n <= g]. *)
+    2 or 3, [1 <= n <= g], [g] 5-smooth. *)
 
 val transform_padded :
   ?pool:Runtime.Pool.t ->

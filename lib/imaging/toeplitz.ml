@@ -6,42 +6,49 @@ module Op = Nufft.Operator
 type t = {
   n : int;
   dims : int;
-  q_hat : Cvec.t;  (* FFT of the wrapped Toeplitz kernel on the 2n grid *)
+  q_hat : Cvec.t;  (* FFT of the wrapped Toeplitz kernel, l = embedding n *)
   pool : Runtime.Pool.t option;  (* reused by every apply *)
 }
 
-(* Wrap centred displacements d (array index d + n) onto the circulant
-   grid: k2[(d mod 2n, ...)] = q(d, ...), then take its spectrum. *)
+(* Length of the circulant embedding: any length >= 2n - 1 embeds the
+   linear convolution of an n-point image with the kernel on [-n, n);
+   the smallest 5-smooth length >= 2n keeps every FFT on supported
+   lengths and equals 2n whenever 2n is itself 5-smooth. *)
+let embedding n = Fft.Fft1d.next_smooth (2 * n)
+
+(* Wrap centred displacements d in [-n, n) (array index d + n of the
+   2n-point kernel grid) onto the circulant grid: k[(d mod l, ...)] =
+   q(d, ...), then take its spectrum. *)
 let wrap_spectrum ?pool ~dims ~n q =
-  let n2 = 2 * n in
-  let wrap = Nufft.Coord.wrap ~g:n2 in
+  let n2 = 2 * n and l = embedding n in
+  let wrap = Nufft.Coord.wrap ~g:l in
   match dims with
   | 2 ->
-      let k2 = Cvec.create (n2 * n2) in
+      let k = Cvec.create (l * l) in
       for iy = 0 to n2 - 1 do
         for ix = 0 to n2 - 1 do
           let wx = wrap (ix - n) and wy = wrap (iy - n) in
-          Cvec.set k2 ((wy * n2) + wx) (Cvec.get q ((iy * n2) + ix))
+          Cvec.set k ((wy * l) + wx) (Cvec.get q ((iy * n2) + ix))
         done
       done;
-      Fft.Fftnd.transform_2d ?pool Fft.Dft.Forward ~nx:n2 ~ny:n2 k2;
-      k2
+      Fft.Fftnd.transform_2d ?pool Fft.Dft.Forward ~nx:l ~ny:l k;
+      k
   | 3 ->
-      let k2 = Cvec.create (n2 * n2 * n2) in
+      let k = Cvec.create (l * l * l) in
       for iz = 0 to n2 - 1 do
         for iy = 0 to n2 - 1 do
           for ix = 0 to n2 - 1 do
             let wx = wrap (ix - n)
             and wy = wrap (iy - n)
             and wz = wrap (iz - n) in
-            Cvec.set k2
-              ((((wz * n2) + wy) * n2) + wx)
+            Cvec.set k
+              ((((wz * l) + wy) * l) + wx)
               (Cvec.get q ((((iz * n2) + iy) * n2) + ix))
           done
         done
       done;
-      Fft.Fftnd.transform_3d ?pool Fft.Dft.Forward ~nx:n2 ~ny:n2 ~nz:n2 k2;
-      k2
+      Fft.Fftnd.transform_3d ?pool Fft.Dft.Forward ~nx:l ~ny:l ~nz:l k;
+      k
   | d -> invalid_arg (Printf.sprintf "Toeplitz: unsupported dimensionality %d" d)
 
 let check_weights ~m = function
@@ -61,8 +68,9 @@ let make_op ?weights ?(backend = "serial") ?pool ?(create = Op.create) ~n
   let m = Sample.length coords in
   let w = check_weights ~m weights in
   let n2 = 2 * n in
-  let g2 = 2 * n2 in
-  (* Same trajectory, re-expressed on the doubled grid (sigma = 2). *)
+  let g2 = Nufft.Plan.grid_size ~sigma:2.0 ~n:n2 in
+  (* Same trajectory, re-expressed on the plan grid of the doubled
+     image (sigma = 2). *)
   let coords2 = Sample.rescale ~g:g2 coords in
   let values = Cvec.init m (fun j -> C.of_float w.(j)) in
   let op = create backend (Op.context ?pool ~n:n2 ~coords:coords2 ()) in
@@ -84,35 +92,35 @@ let kernel_spectrum t = t.q_hat
 
 let apply t x =
   let n = t.n in
-  let n2 = 2 * n in
-  let wrap = Nufft.Coord.wrap ~g:n2 in
+  let l = embedding n in
+  let wrap = Nufft.Coord.wrap ~g:l in
   match t.dims with
   | 2 ->
       if Cvec.length x <> n * n then
         invalid_arg "Toeplitz.apply: size mismatch";
       (* Zero-pad: image position p in [-n/2, n/2) lives at circulant index
-         p mod 2n. *)
-      let pad = Cvec.create (n2 * n2) in
+         p mod l. *)
+      let pad = Cvec.create (l * l) in
       for iy = 0 to n - 1 do
         for ix = 0 to n - 1 do
           let px = wrap (ix - (n / 2)) and py = wrap (iy - (n / 2)) in
-          Cvec.set pad ((py * n2) + px) (Cvec.get x ((iy * n) + ix))
+          Cvec.set pad ((py * l) + px) (Cvec.get x ((iy * n) + ix))
         done
       done;
-      Fft.Fftnd.transform_2d ?pool:t.pool Fft.Dft.Forward ~nx:n2 ~ny:n2 pad;
-      for k = 0 to (n2 * n2) - 1 do
+      Fft.Fftnd.transform_2d ?pool:t.pool Fft.Dft.Forward ~nx:l ~ny:l pad;
+      for k = 0 to (l * l) - 1 do
         Cvec.set pad k (C.mul (Cvec.get pad k) (Cvec.get t.q_hat k))
       done;
-      Fft.Fftnd.transform_2d ?pool:t.pool Fft.Dft.Inverse ~nx:n2 ~ny:n2 pad;
-      Cvec.scale_inplace (1.0 /. float_of_int (n2 * n2)) pad;
+      Fft.Fftnd.transform_2d ?pool:t.pool Fft.Dft.Inverse ~nx:l ~ny:l pad;
+      Cvec.scale_inplace (1.0 /. float_of_int (l * l)) pad;
       Cvec.init (n * n) (fun idx ->
           let ix = idx mod n and iy = idx / n in
           let px = wrap (ix - (n / 2)) and py = wrap (iy - (n / 2)) in
-          Cvec.get pad ((py * n2) + px))
+          Cvec.get pad ((py * l) + px))
   | 3 ->
       if Cvec.length x <> n * n * n then
         invalid_arg "Toeplitz.apply: size mismatch";
-      let pad = Cvec.create (n2 * n2 * n2) in
+      let pad = Cvec.create (l * l * l) in
       for iz = 0 to n - 1 do
         for iy = 0 to n - 1 do
           for ix = 0 to n - 1 do
@@ -120,19 +128,19 @@ let apply t x =
             and py = wrap (iy - (n / 2))
             and pz = wrap (iz - (n / 2)) in
             Cvec.set pad
-              ((((pz * n2) + py) * n2) + px)
+              ((((pz * l) + py) * l) + px)
               (Cvec.get x ((((iz * n) + iy) * n) + ix))
           done
         done
       done;
-      Fft.Fftnd.transform_3d ?pool:t.pool Fft.Dft.Forward ~nx:n2 ~ny:n2 ~nz:n2
+      Fft.Fftnd.transform_3d ?pool:t.pool Fft.Dft.Forward ~nx:l ~ny:l ~nz:l
         pad;
-      for k = 0 to (n2 * n2 * n2) - 1 do
+      for k = 0 to (l * l * l) - 1 do
         Cvec.set pad k (C.mul (Cvec.get pad k) (Cvec.get t.q_hat k))
       done;
-      Fft.Fftnd.transform_3d ?pool:t.pool Fft.Dft.Inverse ~nx:n2 ~ny:n2 ~nz:n2
+      Fft.Fftnd.transform_3d ?pool:t.pool Fft.Dft.Inverse ~nx:l ~ny:l ~nz:l
         pad;
-      Cvec.scale_inplace (1.0 /. float_of_int (n2 * n2 * n2)) pad;
+      Cvec.scale_inplace (1.0 /. float_of_int (l * l * l)) pad;
       Cvec.init (n * n * n) (fun idx ->
           let ix = idx mod n in
           let iy = idx / n mod n in
@@ -140,5 +148,5 @@ let apply t x =
           let px = wrap (ix - (n / 2))
           and py = wrap (iy - (n / 2))
           and pz = wrap (iz - (n / 2)) in
-          Cvec.get pad ((((pz * n2) + py) * n2) + px))
+          Cvec.get pad ((((pz * l) + py) * l) + px))
   | _ -> assert false

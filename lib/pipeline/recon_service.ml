@@ -187,15 +187,20 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
      replays serially — bitwise the same image either way. *)
   let t0 = now () in
   let splan = Plan.compiled plan canonical in
+  (* The same stage spans as [Plan.adjoint_compiled_timed]. *)
+  let span = Nufft.Gridding_stats.grid_span "grid.compiled-spread" in
   Sample_plan.spread_parallel_into ?pool:fft_pool ~simd:plan.Plan.simd splan
     vals a.Workspace.grid;
+  Nufft.Gridding_stats.end_span span;
   let t1 = now () in
   Fft.Fftnd.transform_cropped ?pool:fft_pool ~scratch:a.Workspace.line
     Fft.Dft.Inverse ~dims ~g ~n a.Workspace.grid;
   let t2 = now () in
+  let span = Telemetry.span_begin ~cat:"deapod" "deapod" in
   (match dims with
   | 2 -> Plan.crop_deapodize_2d_into plan a.Workspace.grid a.Workspace.image
   | _ -> Plan.crop_deapodize_3d_into plan a.Workspace.grid a.Workspace.image);
+  Telemetry.span_end span;
   let t3 = now () in
   Cvec.scale_inplace (1.0 /. float_of_int m) a.Workspace.image;
   (* The response must outlive the arena: hand back a fresh copy (one

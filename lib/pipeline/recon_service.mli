@@ -49,7 +49,7 @@ type request = {
   n : int;  (** image size per dimension *)
   coords : Nufft.Sample.t;
       (** trajectory in grid units on the oversampled grid
-          [g = round (sigma * n)] *)
+          [g = Nufft.Plan.grid_size ~sigma ~n] *)
   values : Numerics.Cvec.t;  (** k-space data, one value per sample *)
   density : float array option;  (** optional density-compensation weights *)
   method_ : method_;

@@ -83,10 +83,6 @@ external gather :
   = "jigsaw_simd_gather_bc" "jigsaw_simd_gather"
 [@@noalloc]
 
-external fft_batch : Cvec.t -> int array -> float array -> int -> int -> unit
-  = "jigsaw_simd_fft_batch"
-[@@noalloc]
-
 external fft_mixed_batch :
   Cvec.t ->
   int array ->

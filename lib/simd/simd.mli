@@ -78,15 +78,6 @@ external gather :
     [p = Array.length idx / Cvec.length out], accumulated in entry
     order from zero. *)
 
-external fft_batch : Numerics.Cvec.t -> int array -> float array -> int -> int -> unit
-  = "jigsaw_simd_fft_batch"
-[@@noalloc]
-(** [fft_batch v rev tw off count] — radix-2 DIT butterflies over [count]
-    contiguous complex lines of length [n = Array.length rev] starting at
-    complex offset [off] of [v], using {!Fft.Fft1d}'s bit-reversal table
-    [rev] and interleaved twiddle table [tw] (whose sign encodes the
-    direction). Identical loop structure to the OCaml butterflies. *)
-
 external fft_mixed_batch :
   Numerics.Cvec.t ->
   int array ->
@@ -99,14 +90,16 @@ external fft_mixed_batch :
   int ->
   unit = "jigsaw_simd_fft_mixed_batch_bc" "jigsaw_simd_fft_mixed_batch"
 [@@noalloc]
-(** [fft_mixed_batch v perm stages stw rev tw off count n] — mixed-radix
-    (2^a 3^b 5^c) lines: [count] contiguous lines of length [n] from
-    complex offset [off], each permuted in place by the cycles in
-    [perm], its [n / p] radix-2 sub-lines ([p = Array.length rev], with
-    [rev]/[tw] as for {!fft_batch}) transformed, then the radix-3/5
-    passes of [stages]/[stw] applied. The tables are {!Fft.Fft1d}'s
-    mixed-radix plan; identical loop structure and per-element operation
-    order to its OCaml passes. *)
+(** [fft_mixed_batch v perm stages stw rev tw off count n] — the one FFT
+    kernel, for 5-smooth (2^a 3^b 5^c) lines: [count] contiguous lines
+    of length [n] from complex offset [off], each permuted in place by
+    the cycles in [perm], its [n / p] radix-2 sub-lines
+    ([p = Array.length rev]) bit-reversed through [rev] and run through
+    DIT butterflies over the interleaved twiddle table [tw] (whose sign
+    encodes the direction), then the radix-3/5 passes of [stages]/[stw]
+    applied. A power of two is one sub-line with no cycles and no passes.
+    The tables are {!Fft.Fft1d}'s plan; identical loop structure and
+    per-element operation order to its OCaml passes. *)
 
 external deapod_row :
   Numerics.Cvec.t ->

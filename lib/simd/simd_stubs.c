@@ -355,8 +355,8 @@ CAMLprim value jigsaw_simd_gather_bc(value *argv, int argn)
 
 /* ------------------------------------------------------------------ */
 /* Radix-2 DIT butterfly lines over interleaved complex data: the exact
- * loop structure of Fft1d.radix2_inplace (bit-reversal permutation, then
- * log2 n passes reading the precomputed interleaved twiddle table). */
+ * loop structure of Fft1d.radix2_at (swaps through the sub-line table,
+ * then log2 n passes reading the precomputed interleaved twiddle table). */
 
 static void fft_line_scalar(double *v, value rev, const double *tw, long n)
 {
@@ -486,34 +486,13 @@ static void fft_line_neon(double *v, value rev, const double *tw, long n)
 }
 #endif
 
-CAMLprim value jigsaw_simd_fft_batch(value v, value rev, value tw, value off,
-                                     value count)
-{
-  long n = (long)Wosize_val(rev);
-  long c = Long_val(count);
-  double *data = (double *)Caml_ba_data_val(v) + 2 * Long_val(off);
-  const double *twd = FLOATS(tw);
-  for (long l = 0; l < c; l++) {
-    double *line = data + 2 * l * n;
-    switch (jigsaw_simd_impl) {
-#ifdef JIGSAW_SIMD_X86
-    case IMPL_AVX2: fft_line_avx2(line, rev, twd, n); break;
-#endif
-#ifdef JIGSAW_SIMD_NEON
-    case IMPL_NEON: fft_line_neon(line, rev, twd, n); break;
-#endif
-    default: fft_line_scalar(line, rev, twd, n); break;
-    }
-  }
-  return Val_unit;
-}
-
 /* ------------------------------------------------------------------ */
-/* Mixed-radix lines (n = 2^a 3^b 5^c, not a power of two): the exact
- * loop structure of Fft1d.mixed_lines. Per line: the digit-reversal
- * permutation applied in place by following its cycles ([perm] holds
- * each cycle as its length then its positions), the n/p radix-2
- * sub-lines through the kernels above, then the radix-3/5 passes listed
+/* FFT lines (n = 2^a 3^b 5^c): the exact loop structure of
+ * Fft1d.lines. Per line: the digit-reversal permutation applied in
+ * place by following its cycles ([perm] holds each cycle as its length
+ * then its positions; empty for a power of two, whose bit reversal is
+ * the sub-line table [rev]), the n/p radix-2 sub-lines through the
+ * kernels above, then the radix-3/5 passes listed
  * in [stages] as (radix, span, twiddle offset) triples. [stw] holds the
  * radix constants k3, c51, c52, s51, s52 then every pass's interleaved
  * twiddles w_{rL}^{pq}, p-major (q = 0 .. L-1 for each p = 1 .. r-1, so

@@ -1,4 +1,5 @@
-(* Tests for the FFT substrate: radix-2, mixed radix (2/3/5), Bluestein,
+(* Tests for the FFT substrate: 5-smooth lines (radix 2/3/5), the
+   length contract (any other length raises before touching the buffer),
    2D/3D and the pruned crop/pad transforms, against the naive DFT oracle
    and against the full transforms bit for bit. *)
 
@@ -19,15 +20,6 @@ let check_vec ?(eps = 1e-9) msg expected actual =
 let rand_vec rng n =
   Cvec.init n (fun _ ->
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
-
-let test_pow2_helpers () =
-  Alcotest.(check bool) "1" true (Fft.Fft1d.is_pow2 1);
-  Alcotest.(check bool) "1024" true (Fft.Fft1d.is_pow2 1024);
-  Alcotest.(check bool) "12" false (Fft.Fft1d.is_pow2 12);
-  Alcotest.(check bool) "0" false (Fft.Fft1d.is_pow2 0);
-  Alcotest.(check int) "next 5" 8 (Fft.Fft1d.next_pow2 5);
-  Alcotest.(check int) "next 8" 8 (Fft.Fft1d.next_pow2 8);
-  Alcotest.(check int) "next 1" 1 (Fft.Fft1d.next_pow2 1)
 
 let test_fft_impulse () =
   (* FFT of a delta is all ones. *)
@@ -64,17 +56,15 @@ let test_fft_matches_dft_pow2 () =
       check_vec ~eps:1e-8 (Printf.sprintf "n=%d inv" n) idft ifft)
     [ 1; 2; 4; 8; 32; 128; 512 ]
 
-(* Historical name: of these lengths only 7 still takes Bluestein; the
-   rest are 5-smooth and run the mixed-radix path. *)
-let test_fft_matches_dft_bluestein () =
+let test_fft_matches_dft_mixed_radix () =
   let rng = Random.State.make [| 7 |] in
   List.iter
     (fun n ->
       let v = rand_vec rng n in
       let fft = Fft.Fft1d.transformed Fft.Dft.Forward v in
       let dft = Fft.Dft.transform Fft.Dft.Forward v in
-      check_vec ~eps:1e-7 (Printf.sprintf "n=%d bluestein" n) dft fft)
-    [ 3; 5; 6; 7; 12; 15; 48; 96; 100; 384 ]
+      check_vec ~eps:1e-7 (Printf.sprintf "n=%d mixed radix" n) dft fft)
+    [ 3; 5; 6; 12; 15; 48; 96; 100; 384 ]
 
 let test_fft_roundtrip () =
   let rng = Random.State.make [| 11 |] in
@@ -166,16 +156,6 @@ let test_fft3d_separable () =
       done
     done
   done
-
-let test_bluestein_primes () =
-  let rng = Random.State.make [| 997 |] in
-  List.iter
-    (fun n ->
-      let v = rand_vec rng n in
-      let fft = Fft.Fft1d.transformed Fft.Dft.Forward v in
-      let dft = Fft.Dft.transform Fft.Dft.Forward v in
-      check_vec ~eps:1e-6 (Printf.sprintf "prime n=%d" n) dft fft)
-    [ 17; 97; 251; 509 ]
 
 let test_cache_interleaving () =
   (* Exercise the twiddle/bitrev caches across interleaved sizes. *)
@@ -324,8 +304,7 @@ let test_smooth_helpers () =
   Alcotest.(check int) "next 7" 8 (Fft.Fft1d.next_smooth 7);
   Alcotest.(check int) "next 1" 1 (Fft.Fft1d.next_smooth 1)
 
-(* Non-smooth lengths still go through Bluestein, and a batch of them is
-   rejected by the in-place batch entry. *)
+(* A batch of non-smooth lines is rejected by the in-place batch entry. *)
 let test_batch_rejects_non_smooth () =
   Alcotest.check_raises "len 7"
     (Invalid_argument "Fft1d.transform_batch: len must be 2^a * 3^b * 5^c")
@@ -333,14 +312,40 @@ let test_batch_rejects_non_smooth () =
       Fft.Fft1d.transform_batch Fft.Dft.Forward (Cvec.create 14) ~off:0
         ~count:2 ~len:7)
 
+(* Any length with a prime factor above 5 raises [Invalid_argument]
+   before the transform starts: the input buffer is bitwise unchanged. *)
+let test_non_smooth_raises () =
+  let rng = Random.State.make [| 17 |] in
+  let check msg len f =
+    let v = rand_vec rng len in
+    let before = Cvec.copy v in
+    (match f v with
+    | () -> Alcotest.failf "%s: no Invalid_argument" msg
+    | exception Invalid_argument _ -> ());
+    check_bitwise (msg ^ ": buffer untouched") ~full:before ~pruned:v
+      (List.init len Fun.id)
+  in
+  List.iter
+    (fun n ->
+      check (Printf.sprintf "1d n=%d" n) n
+        (Fft.Fft1d.transform Fft.Dft.Forward))
+    [ 7; 17; 34 ];
+  check "2d 6x7" 42 (Fft.Fftnd.transform_2d Fft.Dft.Forward ~nx:6 ~ny:7);
+  check "3d 4x14x4" (4 * 14 * 4)
+    (Fft.Fftnd.transform_3d Fft.Dft.Inverse ~nx:4 ~ny:14 ~nz:4);
+  check "cropped g=14" (14 * 14)
+    (Fft.Fftnd.transform_cropped Fft.Dft.Inverse ~dims:2 ~g:14 ~n:7)
+
 let test_size_mismatch () =
   Alcotest.check_raises "2d size"
     (Invalid_argument "Fftnd.transform_2d: size mismatch") (fun () ->
       Fft.Fftnd.transform_2d Fft.Dft.Forward ~nx:4 ~ny:4 (Cvec.create 8))
 
+let smooth_upto n = List.filter Fft.Fft1d.is_smooth (List.init n succ)
+
 let prop_fft_dft_agree =
   QCheck.Test.make ~name:"fft = dft on random sizes" ~count:60
-    QCheck.(pair (int_range 1 80) (int_range 0 10000))
+    QCheck.(pair (oneofl (smooth_upto 80)) (int_range 0 10000))
     (fun (n, seed) ->
       let rng = Random.State.make [| seed |] in
       let v = rand_vec rng n in
@@ -350,7 +355,7 @@ let prop_fft_dft_agree =
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"inverse_normalized . forward = id" ~count:60
-    QCheck.(pair (int_range 1 128) (int_range 0 10000))
+    QCheck.(pair (oneofl (smooth_upto 128)) (int_range 0 10000))
     (fun (n, seed) ->
       let rng = Random.State.make [| seed |] in
       let v = rand_vec rng n in
@@ -358,10 +363,10 @@ let prop_roundtrip =
           (Fft.Fft1d.transformed Fft.Dft.Forward v) in
       Cvec.max_abs_diff v back <= 1e-8)
 
-(* Every 5-smooth length up to 2000 runs the mixed-radix (or radix-2)
-   path; each is checked in both directions against the O(n^2) DFT. One
-   case covers all lengths (about 9 s of DFT in the dev profile). *)
-let smooth_lengths = List.filter Fft.Fft1d.is_smooth (List.init 2000 succ)
+(* Every 5-smooth length up to 2000, each checked in both directions
+   against the O(n^2) DFT. One case covers all lengths (about 9 s of DFT
+   in the dev profile). *)
+let smooth_lengths = smooth_upto 2000
 
 let rel_l2 ~reference v =
   let num = ref 0.0 and den = ref 0.0 in
@@ -406,15 +411,13 @@ let qtests =
 let () =
   Alcotest.run "fft"
     [ ("helpers",
-       [ Alcotest.test_case "pow2" `Quick test_pow2_helpers;
-         Alcotest.test_case "5-smooth" `Quick test_smooth_helpers ]);
+       [ Alcotest.test_case "5-smooth" `Quick test_smooth_helpers ]);
       ("fft1d",
        [ Alcotest.test_case "impulse" `Quick test_fft_impulse;
          Alcotest.test_case "single tone" `Quick test_fft_single_tone;
          Alcotest.test_case "matches dft (pow2)" `Quick test_fft_matches_dft_pow2;
-         Alcotest.test_case "matches dft (bluestein)" `Quick
-           test_fft_matches_dft_bluestein;
-         Alcotest.test_case "bluestein primes" `Quick test_bluestein_primes;
+         Alcotest.test_case "matches dft (mixed radix)" `Quick
+           test_fft_matches_dft_mixed_radix;
          Alcotest.test_case "cache interleaving" `Quick test_cache_interleaving;
          Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
          Alcotest.test_case "linearity" `Quick test_fft_linearity;
@@ -428,6 +431,8 @@ let () =
          Alcotest.test_case "3d separable" `Quick test_fft3d_separable;
          Alcotest.test_case "fftshift" `Quick test_fftshift;
          Alcotest.test_case "size mismatch" `Quick test_size_mismatch;
+         Alcotest.test_case "non-smooth lengths raise, buffer untouched"
+           `Quick test_non_smooth_raises;
          Alcotest.test_case "pruned = full, bitwise" `Quick
            test_pruned_matches_full;
          Alcotest.test_case "pruned line counts" `Quick

@@ -158,8 +158,9 @@ let test_shard_replay () =
     impls
 
 (* ------------------------------------------------------------------ *)
-(* Batched butterfly lines: random power-of-two lengths (including 1 and
-   2), random line counts, random leading offset, both directions; the
+(* Batched FFT lines: random 5-smooth lengths (including 1, 2 and the
+   powers of two), random line counts, random leading offset, both
+   directions; the
    untouched prefix and tail are part of the comparison, so an
    out-of-range vector store fails the test. *)
 
@@ -268,7 +269,7 @@ let test_adjoint_end_to_end () =
     (fun dims ->
       let n = if dims = 2 then 16 else 6 in
       let g = 2 * n in
-      let plan = Plan.make ~n () in
+      let plan = Plan.make ~n () and simd_plan = Plan.make ~simd:true ~n () in
       let s = Sample.random ~seed:(50 + dims) ~dims ~g 200 in
       let reference =
         Simd.with_impl Simd.Off (fun () -> Plan.adjoint_compiled plan s)
@@ -279,7 +280,7 @@ let test_adjoint_end_to_end () =
               check_cvec_ulp
                 (Printf.sprintf "%dd adjoint %s" dims (Simd.impl_name impl))
                 reference
-                (Plan.adjoint_compiled ~simd:true plan s)))
+                (Plan.adjoint_compiled simd_plan s)))
         impls)
     [ 2; 3 ]
 

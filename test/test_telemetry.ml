@@ -5,7 +5,8 @@
    for well-formed ph/ts/dur and proper per-track nesting). The last
    group drives a real pooled CG reconstruction through the operator
    registry and asserts the trace covers plan build, gridding, FFT, pool
-   scheduling and CG iterations. *)
+   scheduling and CG iterations, and a served adjoint shows its replay and
+   deapodization spans. *)
 
 module T = Telemetry
 module Op = Nufft.Operator
@@ -454,6 +455,43 @@ let test_cg_trace_coverage () =
   (* and the exported trace of that run must be valid chrome JSON *)
   check_chrome_trace (T.chrome_trace ())
 
+(* A served adjoint takes the service's fused fast path rather than
+   [Plan.adjoint_compiled_timed]; its replay and crop/deapodize stages
+   must still appear as spans inside the request span. *)
+let test_served_adjoint_spans () =
+  with_telemetry @@ fun () ->
+  let module Svc = Pipeline.Recon_service in
+  let n = 16 in
+  let g = Nufft.Plan.grid_size ~sigma:2.0 ~n in
+  let traj = Trajectory.Radial.make ~spokes:8 ~readout:g () in
+  let coords = Imaging.Recon.coords_of_traj ~g traj in
+  let m = Sample.length coords in
+  let req =
+    { Svc.backend = "auto";
+      transform = Nufft.Transform.Type1;
+      n;
+      coords;
+      values =
+        Cvec.init m (fun k ->
+            Numerics.Complexd.of_float (float_of_int (k mod 7)));
+      density = None;
+      method_ = Svc.Adjoint;
+      tol = None;
+      family = None }
+  in
+  (match Svc.submit (Svc.create ()) req with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "served adjoint: %s" (Svc.error_message e));
+  let evs = T.events () in
+  let request = the "svc.request" evs in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s inside svc.request" name)
+        true
+        (contains request (the name evs)))
+    [ "grid.compiled-spread"; "deapod" ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -476,4 +514,6 @@ let () =
         [ Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_simple;
           Alcotest.test_case "cg run covers the pipeline" `Quick
-            test_cg_trace_coverage ] ) ]
+            test_cg_trace_coverage;
+          Alcotest.test_case "served adjoint has stage spans" `Quick
+            test_served_adjoint_spans ] ) ]
